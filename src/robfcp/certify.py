@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calibration import AggregateHistogram
-from .detection import as_vector_matrix
+from .detection import _pairwise, as_vector_matrix
 from .errors import InputError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -236,8 +234,7 @@ def heterogeneity_sigma(expected_vectors) -> float:
     x = as_vector_matrix(expected_vectors)
     if x.shape[0] == 1:
         return 0.0
-    diff = np.abs(x[:, None, :] - x[None, :, :]).sum(axis=2)
-    return float(diff.max())
+    return float(_pairwise(x, 1).max())
 
 
 def sketch_epsilon(agg: AggregateHistogram) -> float:

@@ -195,6 +195,8 @@ def cmd_estimate(args) -> None:
     payload = {
         "k_m_hat": 0 if all_benign else estimate.k_m_hat,
         "objective_trace": [[z, t] for z, t in estimate.objective_trace],
+        "iterations": estimate.iterations,
+        "converged": estimate.converged,
     }
     _emit(json.dumps(payload, indent=2), args.out)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from .detection import as_vector_matrix, maliciousness_scores, pairwise_distances
 from .errors import InputError
@@ -48,6 +49,15 @@ def gaussian_fit(vectors) -> GaussianModel:
     The ridge max(1e-8, 1e-6 * trace / H) keeps the fit well-posed even when
     z <= H leaves the sample covariance rank-deficient, as it always is for
     histogram vectors living on the simplex.
+
+    The Gram matrix comes from SciPy's BLAS, the library whose LAPACK factors
+    the covariance in :func:`_log_likelihoods`.  numpy's wheel bundles a
+    second OpenBLAS with its own thread pool; mixing the two in one fit lets
+    their spinning threads starve each other.  ``dsyrk`` fills the lower
+    triangle (numpy's ``centered.T @ centered`` dispatches to syrk too).
+    SciPy's wrapper zero-fills the strict upper triangle, so adding the
+    transpose mirrors it, and copying the diagonal back undoes its doubling:
+    the covariance is exactly symmetric.
     """
     x = as_vector_matrix(vectors)
     z, h = x.shape
@@ -55,17 +65,24 @@ def gaussian_fit(vectors) -> GaussianModel:
         raise InputError(f"need at least 2 vectors to fit a Gaussian, got {z}")
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / z
+    gram = dsyrk(1.0, centered.T, lower=1)
+    cov = gram + gram.T
+    cov.flat[:: h + 1] = gram.flat[:: h + 1]
+    cov /= z
     ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / h)
-    cov = cov + ridge * np.eye(h)
+    cov.flat[:: h + 1] += ridge
     return GaussianModel(mean=mean, covariance=cov, ridge=ridge)
 
 
 def _log_likelihoods(vectors: np.ndarray, model: GaussianModel) -> np.ndarray:
-    """Gaussian log-density of each row, via one Cholesky factorization."""
-    lower = cholesky(model.covariance, lower=True)
+    """Gaussian log-density of each row, via one Cholesky factorization.
+
+    Callers pass vectors that :func:`as_vector_matrix` has checked, so
+    LAPACK's own finiteness scans are skipped.
+    """
+    lower = cholesky(model.covariance, lower=True, check_finite=False)
     logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    dev = solve_triangular(lower, (vectors - model.mean).T, lower=True)
+    dev = solve_triangular(lower, (vectors - model.mean).T, lower=True, check_finite=False)
     quad = (dev ** 2).sum(axis=0)
     h = model.mean.size
     return -0.5 * (h * _LOG_2PI + logdet + quad)
@@ -76,7 +93,7 @@ def log_likelihood(v, model: GaussianModel) -> float:
     vec = np.asarray(v, dtype=float)
     if vec.shape != model.mean.shape:
         raise InputError("vector and model dimensions do not match")
-    return float(_log_likelihoods(vec[None, :], model)[0])
+    return float(_log_likelihoods(as_vector_matrix(vec[None, :]), model)[0])
 
 
 def objective_T(z: int, ordered_vectors) -> float:
@@ -95,12 +112,18 @@ def objective_T(z: int, ordered_vectors) -> float:
 
 @dataclass(frozen=True)
 class CountEstimate:
-    """Result of the benign-count scan."""
+    """Result of the benign-count scan.
+
+    ``converged`` is True when the scan stopped because a benign count
+    repeated (a fixed point, or a return to an earlier count), False when
+    ``max_iter`` ran out first.
+    """
 
     k_b_hat: int
     k_m_hat: int
     objective_trace: tuple[tuple[int, float], ...]
     iterations: int
+    converged: bool
 
 
 def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
@@ -109,7 +132,8 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
 
     The scan range is [floor(K/2) + 1, K - 1]; the default starting point is
     its lower end (a strict majority).  Ties in the argmax go to the smallest
-    z.  Requires K >= 4 so the range is non-trivial.
+    z.  Requires K >= 4 so the range is non-trivial.  The vectors' finiteness
+    is checked once here, so no fit meets a NaN.
     """
     vectors = as_vector_matrix(reports)
     k = vectors.shape[0]
@@ -129,6 +153,7 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
     trace: list[tuple[int, float]] = []
     iterations = 0
     k_hat = k_tilde
+    converged = False
     for _ in range(max_iter):
         iterations += 1
         scores = maliciousness_scores(distances, k_tilde)
@@ -139,11 +164,13 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
         trace = list(zip(zs, ts))
         k_hat = zs[int(np.argmax(ts))]
         if k_hat in seen:
+            converged = True
             break
         seen.add(k_hat)
         k_tilde = k_hat
     return CountEstimate(k_b_hat=int(k_hat), k_m_hat=int(k - k_hat),
-                         objective_trace=tuple(trace), iterations=iterations)
+                         objective_trace=tuple(trace), iterations=iterations,
+                         converged=converged)
 
 
 def looks_all_benign(scores) -> bool:

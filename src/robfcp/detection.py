@@ -24,27 +24,40 @@ NAMED_NORMS = ("inf", "cosine")
 
 
 def as_vector_matrix(reports) -> np.ndarray:
-    """Stack reports (or raw vectors) into a (K, H) float matrix.
+    """Stack reports (or raw vectors) into a (K, H) float matrix of finite entries.
 
     Accepts a list of :class:`ClientReport` with identical edges, a list of
-    1-d arrays, or an already-stacked 2-d array.
+    1-d arrays, or an already-stacked 2-d array.  A NaN or infinite entry is
+    an :class:`InputError` here rather than a NaN distance or a LAPACK error
+    further down.
     """
     if isinstance(reports, np.ndarray) and reports.ndim == 2:
-        return np.asarray(reports, dtype=float)
-    items = list(reports)
-    if not items:
-        raise InputError("need at least one report")
-    if isinstance(items[0], ClientReport):
-        edges = items[0].edges
-        for r in items[1:]:
-            if not np.array_equal(r.edges, edges):
-                raise InputError("all reports must share the same bin edges")
-        return np.stack([r.v for r in items])
-    return np.stack([np.asarray(v, dtype=float) for v in items])
+        x = np.asarray(reports, dtype=float)
+    else:
+        items = list(reports)
+        if not items:
+            raise InputError("need at least one report")
+        if isinstance(items[0], ClientReport):
+            edges = items[0].edges
+            for r in items[1:]:
+                if not np.array_equal(r.edges, edges):
+                    raise InputError("all reports must share the same bin edges")
+            x = np.stack([r.v for r in items])
+        else:
+            x = np.stack([np.asarray(v, dtype=float) for v in items])
+    if not np.isfinite(x).all():
+        raise InputError("report vectors must be finite (found NaN or inf)")
+    return x
 
 
 def _pairwise(vectors: np.ndarray, p) -> np.ndarray:
-    diff = vectors[:, None, :] - vectors[None, :, :]
+    """Distance matrix swept one row of the upper triangle at a time.
+
+    Memory is O(K*H) rather than a (K, K, H) difference tensor.  Each pair is
+    reduced over H exactly as the broadcast formula ``(|v_i - v_j|**p).sum()
+    ** (1/p)`` would reduce it, so the values are bit-identical to it, and
+    the lower triangle is the mirror of the upper one.
+    """
     if p == "cosine":
         norms = np.linalg.norm(vectors, axis=1)
         if np.any(norms == 0.0):
@@ -53,9 +66,19 @@ def _pairwise(vectors: np.ndarray, p) -> np.ndarray:
         d = 1.0 - np.clip(sim, -1.0, 1.0)
         np.fill_diagonal(d, 0.0)
         return d
-    if p == math.inf or p == "inf":
-        return np.abs(diff).max(axis=2)
-    return (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p)
+    k = vectors.shape[0]
+    d = np.zeros((k, k))
+    for i in range(k - 1):
+        row = vectors[i + 1:] - vectors[i]
+        np.abs(row, out=row)
+        if p == math.inf or p == "inf":
+            dist = row.max(axis=1)
+        else:
+            row **= p
+            dist = row.sum(axis=1) ** (1.0 / p)
+        d[i, i + 1:] = dist
+        d[i + 1:, i] = dist
+    return d
 
 
 def _validate_norm(p):

@@ -261,8 +261,9 @@ def _select_clients(config: SimulationConfig, reports: list[ClientReport]):
 def _certificate(config: SimulationConfig, selected, reports_by_id,
                  expected_vectors_by_id) -> CoverageCertificate:
     """Certificate with the generator's ground truth plugged in."""
-    benign_sel = [i for i in selected if i in set(config.benign_ids)]
-    malicious_sel = [i for i in selected if i not in set(config.benign_ids)]
+    benign_ids = set(config.benign_ids)
+    benign_sel = [i for i in selected if i in benign_ids]
+    malicious_sel = [i for i in selected if i not in benign_ids]
     benign_agg = aggregate([reports_by_id[i] for i in benign_sel])
     params = CertificateParams(
         alpha=config.alpha, beta=config.beta, num_bins=config.H,

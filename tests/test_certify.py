@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from robfcp.calibration import AggregateHistogram
@@ -226,6 +228,20 @@ class TestSigmaAndEpsilon:
 
     def test_single_client_has_no_spread(self):
         assert heterogeneity_sigma(np.array([[0.3, 0.7]])) == 0.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(2, 40), h=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+           dense=st.booleans())
+    def test_heterogeneity_sigma_matches_broadcast_oracle(self, k, h, seed, dense):
+        rng = np.random.default_rng(seed)
+        vecs = (rng.dirichlet(np.full(h, 0.5), size=k) if dense
+                else rng.standard_normal((k, h)) * 10.0 ** rng.integers(-6, 7, size=(k, 1)))
+        oracle = float(np.abs(vecs[:, None, :] - vecs[None, :, :]).sum(axis=2).max())
+        assert heterogeneity_sigma(vecs) == oracle
+
+    def test_heterogeneity_sigma_rejects_nan(self):
+        with pytest.raises(InputError, match="finite"):
+            heterogeneity_sigma(np.array([[0.3, 0.7], [np.nan, 0.5]]))
 
     def test_sketch_epsilon_is_peak_bin_mass(self):
         agg = AggregateHistogram(counts=np.array([10, 30, 60]), total_n=100,

@@ -170,6 +170,16 @@ class TestEstimate:
         assert payload["k_m_hat"] == 3
         zs = [z for z, _ in payload["objective_trace"]]
         assert zs == [6, 7, 8, 9]
+        assert payload["converged"] is True
+        assert payload["iterations"] >= 1
+
+    def test_reports_max_iter_exhaustion(self, capsys, reports_path):
+        code, out, _ = run_cli(capsys, "estimate", "--reports", reports_path,
+                               "--max-iter", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["iterations"] == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--reports",

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from robfcp.count_estimator import (
@@ -14,6 +17,7 @@ from robfcp.count_estimator import (
     looks_all_benign,
     objective_T,
 )
+from robfcp.detection import maliciousness_scores, pairwise_distances
 from robfcp.errors import InputError
 from robfcp.sketch import sketch_scores, uniform_bin_edges
 
@@ -31,6 +35,115 @@ def _cluster_with_outliers(k_benign, k_malicious, num_bins=10, seed=0):
     for _ in range(k_malicious):
         vectors.append(forged.copy())
     return np.stack(vectors)
+
+
+# --- oracle: the scan with numpy's ``@`` Gram matrix and ``+ ridge * np.eye`` ---
+
+def _oracle_fit(x):
+    z, h = x.shape
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / z
+    ridge = max(1e-8, 1e-6 * float(np.trace(cov)) / h)
+    return mean, cov + ridge * np.eye(h)
+
+
+def _oracle_T(z, x):
+    mean, cov = _oracle_fit(x[:z])
+    lower = cholesky(cov, lower=True)
+    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
+    dev = solve_triangular(lower, (x - mean).T, lower=True)
+    ll = -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + (dev ** 2).sum(axis=0))
+    return float(ll[:z].mean() - ll[z:].mean())
+
+
+def _oracle_scan(x, max_iter=10):
+    """(k_b_hat, iterations, trace) of the original alternating scan."""
+    k = x.shape[0]
+    floor = k // 2 + 1
+    distances = pairwise_distances(x)
+    k_tilde, seen, iterations = floor, {floor}, 0
+    for _ in range(max_iter):
+        iterations += 1
+        order = np.argsort(maliciousness_scores(distances, k_tilde), kind="stable")
+        zs = list(range(floor, k))
+        ts = [_oracle_T(z, x[order]) for z in zs]
+        k_hat = zs[int(np.argmax(ts))]
+        if k_hat in seen:
+            break
+        seen.add(k_hat)
+        k_tilde = k_hat
+    return k_hat, iterations, list(zip(zs, ts))
+
+
+@st.composite
+def federations(draw):
+    """A Dirichlet cluster of benign histograms plus a minority of outliers."""
+    k_b = draw(st.integers(3, 24))
+    k_m = draw(st.integers(max(0, 4 - k_b), k_b - 1))
+    h = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.dirichlet(np.ones(h))
+    benign = rng.dirichlet(draw(st.sampled_from((30.0, 300.0, 3000.0))) * base + 1e-3, size=k_b)
+    kind = draw(st.sampled_from(("point_mass", "other_cluster", "jitter")))
+    if kind == "point_mass":
+        forged = np.eye(h)[rng.integers(0, h, size=k_m)]
+    elif kind == "other_cluster":
+        forged = rng.dirichlet(300.0 * rng.dirichlet(np.ones(h)) + 1e-3, size=k_m)
+    else:
+        forged = benign[rng.integers(0, k_b, size=k_m)] + rng.normal(0.0, 0.05, size=(k_m, h))
+    return np.vstack([benign, forged])[rng.permutation(k_b + k_m)]
+
+
+SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestScanMatchesOracle:
+    """The fit, T(z) and the scan agree with the original numpy-only formulas."""
+
+    @SWEEP
+    @given(x=federations())
+    def test_covariance(self, x):
+        for z in (2, x.shape[0] // 2 + 1, x.shape[0]):
+            _, expected = _oracle_fit(x[:z])
+            cov = gaussian_fit(x[:z]).covariance
+            np.testing.assert_allclose(cov, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+            assert np.array_equal(cov, cov.T)
+
+    @SWEEP
+    @given(x=federations())
+    def test_objective(self, x):
+        for z in range(2, x.shape[0]):
+            assert objective_T(z, x) == pytest.approx(_oracle_T(z, x), rel=1e-9)
+
+    @SWEEP
+    @given(x=federations())
+    def test_scan(self, x):
+        est = estimate_benign_count(x)
+        k_hat, iterations, trace = _oracle_scan(x)
+        assert (est.k_b_hat, est.iterations) == (k_hat, iterations)
+        assert [z for z, _ in est.objective_trace] == [z for z, _ in trace]
+        np.testing.assert_allclose([t for _, t in est.objective_trace],
+                                   [t for _, t in trace], rtol=1e-9)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_scan_and_objective(self, bad):
+        vectors = _cluster_with_outliers(7, 3, seed=4)
+        vectors[8, 2] = bad
+        for call in (lambda: estimate_benign_count(vectors),
+                     lambda: estimate_malicious_count(vectors),
+                     lambda: objective_T(6, vectors),
+                     lambda: gaussian_fit(vectors[6:])):
+            with pytest.raises(InputError, match="finite"):
+                call()
+
+    def test_log_likelihood_rejects_nan_vector(self):
+        model = gaussian_fit(np.array([[0.5, 0.5], [0.4, 0.6]]))
+        with pytest.raises(InputError, match="finite"):
+            log_likelihood(np.array([np.nan, 0.5]), model)
 
 
 class TestGaussianFit:
@@ -52,6 +165,12 @@ class TestGaussianFit:
         raw = x - x.mean(axis=0)
         trace = float(np.trace(raw.T @ raw / 50))
         assert model.ridge == pytest.approx(max(1e-8, 1e-6 * trace / 4))
+
+    @pytest.mark.parametrize("z,h", [(2, 3), (40, 120), (80, 100), (99, 100)])
+    def test_covariance_exactly_symmetric(self, z, h):
+        x = np.random.default_rng(z * h).dirichlet(np.ones(h), size=z)
+        cov = gaussian_fit(x).covariance
+        assert np.array_equal(cov, cov.T)
 
     def test_needs_two_vectors(self):
         with pytest.raises(InputError):
@@ -116,6 +235,18 @@ class TestEstimateBenignCount:
             estimate_benign_count(vectors, k_b_init=3)  # below strict majority
         with pytest.raises(InputError):
             estimate_benign_count(vectors, k_b_init=9)
+
+    def test_converged_when_count_repeats(self):
+        vectors = _cluster_with_outliers(7, 3, seed=5)
+        est = estimate_benign_count(vectors)
+        assert est.converged
+        assert est.k_b_hat == 7 and est.iterations == 2
+
+    def test_not_converged_when_max_iter_runs_out(self):
+        vectors = _cluster_with_outliers(7, 3, seed=5)
+        est = estimate_benign_count(vectors, max_iter=1)
+        assert not est.converged
+        assert est.k_b_hat == 7 and est.iterations == 1
 
     def test_deterministic(self):
         vectors = _cluster_with_outliers(7, 3, seed=8)

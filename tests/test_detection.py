@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robfcp.detection import (
     maliciousness_scores,
@@ -17,6 +19,32 @@ from robfcp.sketch import sketch_scores, uniform_bin_edges
 
 def _dist(vectors, p=2):
     return pairwise_distances(np.asarray(vectors, dtype=float), p=p)
+
+
+def _broadcast_pairwise(vectors, p):
+    """The (K, K, H) broadcast formula the row sweep replaced, kept as its oracle."""
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    if p == "inf":
+        return np.abs(diff).max(axis=2)
+    return (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p)
+
+
+@st.composite
+def vector_sets(draw, max_k=40, max_h=120):
+    """(K, H) matrices: simplex points, wide-range reals, or a few repeated rows."""
+    k = draw(st.integers(2, max_k))
+    h = draw(st.integers(1, max_h))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("simplex", "wide", "repeats")))
+    if kind == "simplex":
+        return rng.dirichlet(np.full(h, 0.5), size=k)
+    if kind == "wide":
+        return rng.standard_normal((k, h)) * 10.0 ** rng.integers(-6, 7, size=(k, 1))
+    pool = rng.uniform(size=(3, h))
+    return pool[rng.integers(0, 3, size=k)]
+
+
+SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestPairwiseDistances:
@@ -63,11 +91,32 @@ class TestPairwiseDistances:
         with pytest.raises(InputError):
             _dist([[1.0, 0.0], [0.0, 1.0]], p="manhattan")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vectors(self, bad):
+        vecs = np.array([[0.5, 0.5], [0.4, 0.6], [0.2, 0.8]])
+        vecs[1, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            pairwise_distances(vecs)
+        with pytest.raises(InputError, match="finite"):
+            pairwise_distances(list(vecs), p=1)
+
     def test_mixed_edges_rejected(self):
         a = sketch_scores(0, [0.1], uniform_bin_edges(4))
         b = sketch_scores(1, [0.1], uniform_bin_edges(5))
         with pytest.raises(InputError):
             pairwise_distances([a, b])
+
+
+class TestRowSweepMatchesBroadcast:
+    """The row-swept kernel is bit-identical to the broadcast formula."""
+
+    @SWEEP
+    @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3, "inf")))
+    def test_bit_identical(self, vectors, p):
+        d = pairwise_distances(vectors, p=p).d
+        assert np.array_equal(d, _broadcast_pairwise(vectors, p))
+        assert np.array_equal(d, d.T)
+        assert not np.diag(d).any()
 
 
 class TestMaliciousnessScores:
