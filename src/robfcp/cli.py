@@ -12,19 +12,16 @@ line to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
-from .calibration import aggregate, federated_quantile
 from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, overestimate_bounds)
 from .count_estimator import estimate_malicious_count
-from .detection import rank_reports
-from .errors import ConfigError, InputError, RobfcpError
-from .io import config_echo, parse_config, read_reports, reports_from_csv
-from .simulation import MonteCarloResult, SimulationConfig, TrialReport, monte_carlo
+from .errors import RobfcpError
+from .io import config_echo, config_from_dict, parse_config, read_reports, reports_from_csv
+from .scores import SCORE_KINDS
+from .simulation import TrialReport, monte_carlo, robust_calibrate
 
 _SWEEP_ALIASES = {"km": "k_m", "n": "n_per_client"}
 _CSV_HEADER = ("trial,attack,naive_cov,naive_size,rob_cov,rob_size,"
@@ -38,15 +35,6 @@ class CliUsageError(RobfcpError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliUsageError(message)
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Where a simulate run put its outputs."""
-
-    report_path: str | None
-    format: str
-    config_echo: dict
 
 
 def _certificate_dict(cert: CoverageCertificate) -> dict:
@@ -114,18 +102,20 @@ def _parse_sweep(spec: str, aliases: dict | None = None) -> tuple[str, list[int]
 
 # --- simulate ---
 
-def cmd_simulate(args) -> RunArtifacts:
+def cmd_simulate(args) -> None:
     config = parse_config(args.config)
     echo = config_echo(config)
     csv_blocks: list[tuple[str, tuple]] = []
 
     if args.sweep:
         key, values = _parse_sweep(args.sweep, _SWEEP_ALIASES)
-        if key not in {f.name for f in dataclasses.fields(SimulationConfig)}:
+        if key not in echo:
             raise CliUsageError(f"unknown sweep key {key!r}")
         rows = []
         for value in values:
-            swept = dataclasses.replace(config, **{key: value})
+            # Re-validate from the echo, which turns uniform per-client tuples
+            # back into scalars, so a K sweep re-expands them to each K.
+            swept = config_from_dict({**echo, key: value})
             result = monte_carlo(swept, max_workers=args.threads)
             rows.append({"value": value, "aggregates": result.aggregates})
             csv_blocks.append((swept.attack.kind, result.trials))
@@ -143,7 +133,6 @@ def cmd_simulate(args) -> RunArtifacts:
             lines.extend(_csv_rows(kind, trials))
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    return RunArtifacts(report_path=args.out, format="json", config_echo=echo)
 
 
 # --- certify ---
@@ -214,19 +203,10 @@ def cmd_calibrate(args) -> None:
     if (args.kb is None) == (not args.estimate_km):
         raise CliUsageError("calibrate needs exactly one of --kb or --estimate-km")
 
-    if args.estimate_km:
-        estimate, all_benign = estimate_malicious_count(reports, p=args.p)
-        k_m_hat = 0 if all_benign else estimate.k_m_hat
-        if k_m_hat == 0:
-            selected = tuple(r.client_id for r in reports)
-        else:
-            selected = rank_reports(reports, len(reports) - k_m_hat, p=args.p).benign_set
-    else:
-        selected = rank_reports(reports, args.kb, p=args.p).benign_set
-        k_m_hat = len(reports) - args.kb
-
-    quantile = federated_quantile(aggregate(reports, selected), args.alpha)
-    payload = {"q_hat": quantile.q_hat, "benign_set": list(selected), "k_m_hat": k_m_hat}
+    k_m = None if args.estimate_km else len(reports) - args.kb
+    result = robust_calibrate(reports, args.alpha, k_m, p=args.p)
+    payload = {"q_hat": result.robust.q_hat, "benign_set": list(result.selected),
+               "k_m_hat": result.k_m_hat}
     _emit(json.dumps(payload, indent=2), args.out)
 
 
@@ -267,7 +247,7 @@ def build_parser() -> _Parser:
     p_cal = sub.add_parser("calibrate", help="screen reports and compute the threshold")
     p_cal.add_argument("--reports", default=None)
     p_cal.add_argument("--csv", default=None, help="score CSV (client_id,label,p_0,...)")
-    p_cal.add_argument("--score-kind", default="lac", choices=("lac", "aps"), dest="score_kind")
+    p_cal.add_argument("--score-kind", default="lac", choices=SCORE_KINDS, dest="score_kind")
     p_cal.add_argument("--bins", type=int, default=100)
     p_cal.add_argument("--seed", type=int, default=0, help="seed for aps randomization")
     p_cal.add_argument("--alpha", type=float, required=True)

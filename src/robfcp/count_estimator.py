@@ -88,14 +88,6 @@ def _log_likelihoods(vectors: np.ndarray, model: GaussianModel) -> np.ndarray:
     return -0.5 * (h * _LOG_2PI + logdet + quad)
 
 
-def log_likelihood(v, model: GaussianModel) -> float:
-    """Log-density of one vector under the fitted Gaussian."""
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != model.mean.shape:
-        raise InputError("vector and model dimensions do not match")
-    return float(_log_likelihoods(as_vector_matrix(vec[None, :]), model)[0])
-
-
 def objective_T(z: int, ordered_vectors) -> float:
     """Split objective at z: in-cluster mean log-likelihood minus out-of-cluster mean.
 

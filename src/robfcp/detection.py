@@ -6,22 +6,21 @@ Each client gets a *maliciousness score*: the average distance to its
 ``k_b - 1`` nearest other reports.  With at least ``k_b`` benign clients, a
 benign report has ``k_b - 1`` honest neighbours keeping its score low, while a
 forged report must reach across to the cluster.  The ``k_b`` lowest-scoring
-clients form the benign set.
+clients form the benign set.  Distances are l_p norms with integer p >= 1,
+the values config ``p_norm`` and the CLI's ``--p`` take.
+
+Rankings refer to clients by their row in the report list; mapping rows to
+client ids is the caller's job (see ``simulation.robust_calibrate``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .sketch import ClientReport
-
-#: Distance choices accepted by :func:`distance_matrix` besides integer p >= 1.
-NAMED_NORMS = ("inf", "cosine")
-
 
 def as_vector_matrix(reports) -> np.ndarray:
     """Stack reports (or raw vectors) into a (K, H) float matrix of finite entries.
@@ -50,7 +49,7 @@ def as_vector_matrix(reports) -> np.ndarray:
     return x
 
 
-def _pairwise(vectors: np.ndarray, p) -> np.ndarray:
+def _pairwise(vectors: np.ndarray, p: int) -> np.ndarray:
     """Distance matrix swept one row of the upper triangle at a time.
 
     Memory is O(K*H) rather than a (K, K, H) difference tensor.  Each pair is
@@ -58,39 +57,16 @@ def _pairwise(vectors: np.ndarray, p) -> np.ndarray:
     ** (1/p)`` would reduce it, so the values are bit-identical to it, and
     the lower triangle is the mirror of the upper one.
     """
-    if p == "cosine":
-        norms = np.linalg.norm(vectors, axis=1)
-        if np.any(norms == 0.0):
-            raise InputError("cosine distance undefined for all-zero vectors")
-        sim = (vectors @ vectors.T) / np.outer(norms, norms)
-        d = 1.0 - np.clip(sim, -1.0, 1.0)
-        np.fill_diagonal(d, 0.0)
-        return d
     k = vectors.shape[0]
     d = np.zeros((k, k))
     for i in range(k - 1):
         row = vectors[i + 1:] - vectors[i]
         np.abs(row, out=row)
-        if p == math.inf or p == "inf":
-            dist = row.max(axis=1)
-        else:
-            row **= p
-            dist = row.sum(axis=1) ** (1.0 / p)
+        row **= p
+        dist = row.sum(axis=1) ** (1.0 / p)
         d[i, i + 1:] = dist
         d[i + 1:, i] = dist
     return d
-
-
-def _validate_norm(p):
-    if isinstance(p, str):
-        if p not in NAMED_NORMS:
-            raise InputError(f"unknown norm {p!r}, expected integer >= 1, 'inf', or 'cosine'")
-        return p
-    if p == math.inf:
-        return math.inf
-    if isinstance(p, (int, np.integer)) and p >= 1:
-        return int(p)
-    raise InputError(f"norm order must be an integer >= 1, 'inf', or 'cosine'; got {p!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +74,17 @@ class DistanceMatrix:
     """Symmetric pairwise distances between client vectors, zero diagonal."""
 
     d: np.ndarray
-    p: object
+    p: int
 
 
 def pairwise_distances(reports, p=2) -> DistanceMatrix:
-    """Pairwise l_p (or cosine) distances between all report vectors."""
-    norm = _validate_norm(p)
+    """Pairwise l_p distances between all report vectors, for integer p >= 1."""
+    if not isinstance(p, (int, np.integer)) or p < 1:
+        raise InputError(f"norm order must be an integer >= 1, got {p!r}")
     vectors = as_vector_matrix(reports)
     if vectors.shape[0] < 2:
         raise InputError("need at least 2 reports for pairwise distances")
-    return DistanceMatrix(d=_pairwise(vectors, norm), p=norm)
+    return DistanceMatrix(d=_pairwise(vectors, int(p)), p=int(p))
 
 
 def maliciousness_scores(distances: DistanceMatrix, k_b: int) -> np.ndarray:
@@ -123,7 +100,7 @@ def maliciousness_scores(distances: DistanceMatrix, k_b: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaliciousnessRanking:
-    """Per-client scores, the selected benign set, and the k_b used to build it."""
+    """Per-row scores, the selected benign rows, and the k_b used to select them."""
 
     scores: np.ndarray
     benign_set: tuple[int, ...]
@@ -133,13 +110,9 @@ class MaliciousnessRanking:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
         object.__setattr__(self, "benign_set", tuple(int(i) for i in self.benign_set))
 
-    def order(self) -> np.ndarray:
-        """Client ids sorted by ascending maliciousness, ties by lowest id."""
-        return np.argsort(self.scores, kind="stable")
-
 
 def select_benign(scores: np.ndarray, k_b: int) -> MaliciousnessRanking:
-    """Keep the ``k_b`` lowest-scoring clients, ties broken by lowest id."""
+    """Keep the ``k_b`` lowest-scoring rows, ties broken by lowest row."""
     s = np.asarray(scores, dtype=float)
     if not 1 <= k_b <= s.size:
         raise InputError(f"k_b must lie in [1, {s.size}], got {k_b}")

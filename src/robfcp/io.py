@@ -10,7 +10,7 @@ import numpy as np
 
 from .attacks import AttackSpec
 from .errors import ConfigError, FormatError
-from .scores import aps_scores, lac_scores, validate_probabilities
+from .scores import score_batch, validate_probabilities
 from .simulation import SimulationConfig
 from .sketch import ClientReport, report_from_json, report_to_json, sketch_scores, uniform_bin_edges
 
@@ -91,20 +91,18 @@ def read_probability_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 def reports_from_csv(path, score_kind: str = "lac", num_bins: int = 100,
                      seed: int = 0) -> list[ClientReport]:
-    """Score every CSV row and sketch each client's scores on a uniform grid."""
+    """Score every CSV row and sketch each client's scores on a uniform grid.
+
+    ``aps`` randomization for client ``cid`` comes from a generator keyed by
+    ``(seed, cid)``.
+    """
     edges = uniform_bin_edges(num_bins)
     per_client = read_probability_csv(path)
     reports = []
     for cid in sorted(per_client):
         probs, labels = per_client[cid]
-        if score_kind == "lac":
-            scores = lac_scores(probs, labels)
-        elif score_kind == "aps":
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cid,)))
-            scores = aps_scores(probs, labels, rng.uniform(size=labels.size))
-        else:
-            raise FormatError(f"unknown score kind {score_kind!r}")
-        reports.append(sketch_scores(cid, scores, edges))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(cid,)))
+        reports.append(sketch_scores(cid, score_batch(probs, labels, score_kind, rng), edges))
     return reports
 
 
@@ -149,10 +147,6 @@ def config_from_dict(payload: dict) -> SimulationConfig:
         values["attack"] = _attack_from_value(values["attack"])
     if "seed" not in values:
         values["seed"] = fresh_seed()
-    if "n_per_client" in values and isinstance(values["n_per_client"], list):
-        values["n_per_client"] = tuple(values["n_per_client"])
-    if "signal" in values and isinstance(values["signal"], list):
-        values["signal"] = tuple(values["signal"])
     try:
         return SimulationConfig(**values)
     except TypeError as exc:

@@ -9,8 +9,9 @@ vector and a candidate label to a value in [0, 1]:
   the candidate, plus a randomized fraction ``u`` of the candidate's own mass.
 
 Scores are computed either one row at a time (:func:`lac_score`,
-:func:`aps_score`) or vectorized over a batch (:func:`batch_scores`,
-:func:`label_score_matrix`).
+:func:`aps_score`) or vectorized over a batch (:func:`lac_scores`,
+:func:`aps_scores`, :func:`label_score_matrix`).  :func:`score_batch` is the
+one place that picks the kernel for a score kind and draws ``u`` for ``aps``.
 """
 
 from __future__ import annotations
@@ -97,26 +98,6 @@ def aps_scores(probs: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarr
     return above + py * u
 
 
-def batch_scores(rows, kind: str = "lac", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Compute true-label scores for a list of ``(probability_vector, label)`` pairs.
-
-    For ``kind="aps"`` one uniform draw per row is taken from ``rng``.
-    """
-    if kind not in SCORE_KINDS:
-        raise InputError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
-    rows = list(rows)
-    if not rows:
-        raise InputError("batch_scores requires at least one row")
-    probs = np.stack([np.asarray(p, dtype=float) for p, _ in rows])
-    labels = np.array([y for _, y in rows])
-    if kind == "lac":
-        return lac_scores(probs, labels)
-    if rng is None:
-        rng = np.random.default_rng()
-    u = rng.uniform(0.0, 1.0, size=len(rows))
-    return aps_scores(probs, labels, u)
-
-
 def label_score_matrix(probs: np.ndarray, kind: str = "lac",
                        u: np.ndarray | None = None) -> np.ndarray:
     """Per-label score matrix: entry (i, y) is the score of candidate label y on row i.
@@ -138,6 +119,23 @@ def label_score_matrix(probs: np.ndarray, kind: str = "lac",
     greater = p[:, None, :] > p[:, :, None]
     above = np.einsum("nc,nyc->ny", p, greater)
     return above + p * u[:, None]
+
+
+def score_batch(probs: np.ndarray, labels: np.ndarray, kind: str, rng: np.random.Generator,
+                per_label: bool = False) -> np.ndarray:
+    """Scores of a batch of rows: true-label scores, or with ``per_label`` the (N, C) matrix.
+
+    ``aps`` takes one randomization draw ``u`` per row from ``rng``; ``lac``
+    draws nothing, so ``rng`` is left untouched.
+    """
+    if kind not in SCORE_KINDS:
+        raise InputError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
+    u = rng.uniform(size=len(labels)) if kind == "aps" else None
+    if per_label:
+        return label_score_matrix(probs, kind, u)
+    if u is None:
+        return lac_scores(probs, labels)
+    return aps_scores(probs, labels, u)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Synthetic federated experiments: data generation, trials, Monte Carlo loops.
 
-A trial builds a small federation (Dirichlet-heterogeneous class mixtures, a
-softmax classifier whose accuracy is set by a per-class logit boost), lets the
-malicious clients forge their reports, runs screening + calibration twice
-(naive: every report; robust: the selected set), and evaluates both thresholds
-on a fresh test batch drawn from the benign mixture.  Every random draw comes
-from a generator keyed by (seed xor trial_index, role, client), so results are
-identical regardless of thread count or execution order.
+A trial builds a federation, lets the malicious clients forge their reports,
+and runs the server pipeline, :func:`robust_calibrate` (shared with the
+``calibrate`` CLI): screen, estimate k_m if unknown, and calibrate twice
+(naive: every report; robust: the kept clients).  It then evaluates both
+thresholds and certifies the robust one.  The two modes differ only in how
+honest reports, expected vectors and coverage are produced: ``sample`` draws
+rows from a synthetic classifier and tests on a fresh batch, while
+``histogram_direct`` draws bin counts from a known law, so coverage is exact.
+Every random draw comes from a generator keyed by (seed xor trial_index,
+role, client), so results are identical regardless of thread count or
+execution order.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackSpec, apply_attack
-from .calibration import AggregateHistogram, EvalMetrics, aggregate, evaluate, federated_quantile
+from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
 from .detection import rank_reports
 from .errors import ConfigError, InputError
-from .scores import SCORE_KINDS, TestBatch, aps_scores, label_score_matrix, lac_scores
+from .scores import SCORE_KINDS, TestBatch, score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 MODES = ("sample", "histogram_direct")
@@ -188,36 +192,47 @@ def _draw_rows(mixture: np.ndarray, signal: float, n: int, rng: np.random.Genera
 
 
 def generate_client_data(profile: ClientProfile, num_classes: int, score_kind: str,
-                         rng: np.random.Generator, n_test: int = 0):
-    """Calibration scores for one client, plus an optional test batch.
-
-    Calibration rows keep only the true-label score; test rows keep the whole
-    per-label score row (needed to form prediction sets).
-    """
+                         rng: np.random.Generator) -> np.ndarray:
+    """True-label calibration scores of ``profile.n`` fresh rows of one client."""
     if profile.mixture.size != num_classes:
         raise InputError("profile mixture length does not match num_classes")
     probs, labels = _draw_rows(profile.mixture, profile.signal, profile.n, rng)
-    if score_kind == "lac":
-        cal_scores = lac_scores(probs, labels)
-    else:
-        cal_scores = aps_scores(probs, labels, rng.uniform(size=profile.n))
-    test = None
-    if n_test > 0:
-        t_probs, t_labels = _draw_rows(profile.mixture, profile.signal, n_test, rng)
-        u = rng.uniform(size=n_test) if score_kind == "aps" else None
-        test = TestBatch(label_score_matrix(t_probs, score_kind, u), t_labels)
-    return cal_scores, test
+    return score_batch(probs, labels, score_kind, rng)
 
 
-def _expected_vector_estimate(profile: ClientProfile, num_classes: int, score_kind: str,
-                              edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    probs, labels = _draw_rows(profile.mixture, profile.signal, _SIGMA_REFERENCE_N, rng)
-    if score_kind == "lac":
-        s = lac_scores(probs, labels)
+@dataclass(frozen=True)
+class CalibrationResult:
+    """What the server decided: the kept client ids, the malicious count and both thresholds."""
+
+    selected: tuple[int, ...]
+    k_m_hat: int
+    naive: QuantileEstimate
+    robust: QuantileEstimate
+
+
+def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> CalibrationResult:
+    """Screen, estimate k_m when it is None, and calibrate on all and on the kept reports.
+
+    The ``len(reports) - k_m`` reports with the lowest maliciousness scores
+    are kept; with ``k_m=0`` every report is.  ``selected`` holds their client
+    ids in ascending order, whatever the order of ``reports``.  A ``k_m``
+    outside ``[0, len(reports) - 2]`` is an :class:`InputError`, and
+    ``alpha`` must be admissible for the whole federation as well as for the
+    kept clients.
+    """
+    reports = list(reports)
+    if k_m is None:
+        estimate, all_benign = estimate_malicious_count(reports, p=p)
+        k_m = 0 if all_benign else estimate.k_m_hat
+    if k_m == 0:
+        rows = range(len(reports))
     else:
-        s = aps_scores(probs, labels, rng.uniform(size=_SIGMA_REFERENCE_N))
-    counts, _ = np.histogram(s, bins=edges)
-    return counts / _SIGMA_REFERENCE_N
+        rows = rank_reports(reports, len(reports) - k_m, p=p).benign_set
+    selected = tuple(sorted(reports[row].client_id for row in rows))
+    return CalibrationResult(
+        selected=selected, k_m_hat=int(k_m),
+        naive=federated_quantile(aggregate(reports), alpha),
+        robust=federated_quantile(aggregate(reports, selected), alpha))
 
 
 @dataclass(frozen=True)
@@ -233,29 +248,6 @@ class TrialReport:
     q_naive: float
     q_robust: float
     detection_exact: bool
-
-
-def _select_clients(config: SimulationConfig, reports: list[ClientReport]):
-    """Screening step: returns (selected ids, k_m_hat, detection_exact)."""
-    all_ids = tuple(r.client_id for r in reports)
-    if config.km_known:
-        k_m_hat = config.k_m
-        if k_m_hat == 0:
-            selected = all_ids
-        else:
-            ranking = rank_reports(reports, config.K - k_m_hat, p=config.p_norm)
-            selected = ranking.benign_set
-    else:
-        estimate, all_benign = estimate_malicious_count(reports, p=config.p_norm)
-        if all_benign:
-            k_m_hat = 0
-            selected = all_ids
-        else:
-            k_m_hat = estimate.k_m_hat
-            ranking = rank_reports(reports, config.K - k_m_hat, p=config.p_norm)
-            selected = ranking.benign_set
-    exact = set(selected) == set(config.benign_ids)
-    return tuple(selected), int(k_m_hat), bool(exact)
 
 
 def _certificate(config: SimulationConfig, selected, reports_by_id,
@@ -275,126 +267,121 @@ def _certificate(config: SimulationConfig, selected, reports_by_id,
     return coverage_bounds(params)
 
 
+class _SampleMode:
+    """Clients draw rows from the synthetic classifier and sketch their scores."""
+
+    def __init__(self, config: SimulationConfig, trial_seed: int, edges: np.ndarray):
+        self.config, self.trial_seed, self.edges = config, trial_seed, edges
+        mixtures = dirichlet_mixture(config.C, config.K, config.dirichlet_beta,
+                                     _rng(trial_seed, _ROLE_MIXTURE))
+        self.profiles = [ClientProfile(i, mixtures[i], config.signal[i], config.n_per_client[i])
+                         for i in range(config.K)]
+
+    def scores(self, i: int) -> np.ndarray:
+        return generate_client_data(self.profiles[i], self.config.C, self.config.score_kind,
+                                    _rng(self.trial_seed, _ROLE_DATA, i))
+
+    def honest_report(self, i: int) -> ClientReport:
+        return sketch_scores(i, self.scores(i), self.edges)
+
+    def expected_vector(self, i: int) -> np.ndarray:
+        """Monte-Carlo estimate of client i's bin masses, for the certificate's sigma."""
+        rng = _rng(self.trial_seed, _ROLE_SIGMA, i)
+        profile = self.profiles[i]
+        probs, labels = _draw_rows(profile.mixture, profile.signal, _SIGMA_REFERENCE_N, rng)
+        counts, _ = np.histogram(score_batch(probs, labels, self.config.score_kind, rng),
+                                 bins=self.edges)
+        return counts / _SIGMA_REFERENCE_N
+
+    def evaluate(self, quantiles) -> list[EvalMetrics]:
+        """Each threshold on one test batch: benign mixture, client weights n_k + 1."""
+        config = self.config
+        weights = np.array([self.profiles[i].n + 1.0 for i in config.benign_ids])
+        weights /= weights.sum()
+        per_client = _rng(self.trial_seed, _ROLE_TEST, config.K).multinomial(config.n_test, weights)
+        score_rows, label_rows = [], []
+        for i, count in zip(config.benign_ids, per_client):
+            if count == 0:
+                continue
+            gen = _rng(self.trial_seed, _ROLE_TEST, i)
+            probs, labels = _draw_rows(self.profiles[i].mixture, self.profiles[i].signal,
+                                       int(count), gen)
+            score_rows.append(score_batch(probs, labels, config.score_kind, gen, per_label=True))
+            label_rows.append(labels)
+        test = TestBatch(np.concatenate(score_rows), np.concatenate(label_rows))
+        return [evaluate(test, q.q_hat) for q in quantiles]
+
+
+class _DirectMode:
+    """Honest bin counts are drawn straight from a known law shared by every client.
+
+    Direct mode exists to validate certificates at sample sizes where
+    per-sample generation is wasteful.  The law is uniform: it maximally
+    spreads mass, which minimizes the sketch's rank-resolution term
+    epsilon = max bin mass (its floor is 1/H); all clients share it, so
+    sigma = 0 exactly.
+    """
+
+    def __init__(self, config: SimulationConfig, trial_seed: int, edges: np.ndarray):
+        self.config, self.trial_seed, self.edges = config, trial_seed, edges
+        self.true_v = np.full(config.H, 1.0 / config.H)
+
+    def scores(self, i: int) -> np.ndarray:
+        """Raw scores from the piecewise-uniform law implied by (edges, true_v)."""
+        n = self.config.n_per_client[i]
+        rng = _rng(self.trial_seed, _ROLE_DATA, i)
+        bins = rng.choice(self.true_v.size, size=n, p=self.true_v)
+        widths = np.diff(self.edges)
+        return self.edges[bins] + rng.uniform(size=n) * widths[bins]
+
+    def honest_report(self, i: int) -> ClientReport:
+        n = self.config.n_per_client[i]
+        counts = _rng(self.trial_seed, _ROLE_DATA, i).multinomial(n, self.true_v)
+        return ClientReport(client_id=i, n=n, v=counts / n, edges=self.edges)
+
+    def expected_vector(self, i: int) -> np.ndarray:
+        return self.true_v
+
+    def evaluate(self, quantiles) -> list[EvalMetrics]:
+        """Exact coverage: thresholds are bin upper edges and the law has no atoms.
+
+        There is no label space in this mode, so set size is reported as 0.0.
+        """
+        cum = np.cumsum(self.true_v)
+        return [EvalMetrics(marginal_coverage=float(cum[q.bin_index]), average_set_size=0.0)
+                for q in quantiles]
+
+
 def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
     """Run one seeded trial end to end."""
     if trial_index < 0:
         raise InputError(f"trial_index must be >= 0, got {trial_index}")
     trial_seed = config.seed ^ trial_index
     edges = uniform_bin_edges(config.H)
-    if config.mode == "histogram_direct":
-        return _run_trial_direct(config, trial_index, trial_seed, edges)
+    mode_cls = _DirectMode if config.mode == "histogram_direct" else _SampleMode
+    mode = mode_cls(config, trial_seed, edges)
 
-    mixtures = dirichlet_mixture(config.C, config.K, config.dirichlet_beta,
-                                 _rng(trial_seed, _ROLE_MIXTURE))
-    profiles = [ClientProfile(i, mixtures[i], config.signal[i], config.n_per_client[i])
-                for i in range(config.K)]
-
-    reports: list[ClientReport] = []
-    for i in config.benign_ids:
-        scores, _ = generate_client_data(profiles[i], config.C, config.score_kind,
-                                         _rng(trial_seed, _ROLE_DATA, i))
-        reports.append(sketch_scores(i, scores, edges))
-    benign_reports = list(reports)
+    benign_reports = [mode.honest_report(i) for i in config.benign_ids]
+    reports = list(benign_reports)
     for i in config.malicious_ids:
-        base, _ = generate_client_data(profiles[i], config.C, config.score_kind,
-                                       _rng(trial_seed, _ROLE_DATA, i))
-        reports.append(apply_attack(config.attack, i, profiles[i].n, edges,
+        # Only these attacks forge from the client's own raw scores.
+        own = mode.scores(i) if config.attack.kind in ("gaussian", "none") else None
+        reports.append(apply_attack(config.attack, i, config.n_per_client[i], edges,
                                     _rng(trial_seed, _ROLE_ATTACK, i),
-                                    benign_scores=base, benign_reports=benign_reports))
+                                    benign_scores=own, benign_reports=benign_reports))
 
-    selected, k_m_hat, detection_exact = _select_clients(config, reports)
-    q_naive = federated_quantile(aggregate(reports), config.alpha)
-    q_robust = federated_quantile(aggregate(reports, selected), config.alpha)
-
-    # Test batch: benign mixture, client weights proportional to n_k + 1.
-    weights = np.array([profiles[i].n + 1.0 for i in config.benign_ids])
-    weights /= weights.sum()
-    per_client = _rng(trial_seed, _ROLE_TEST, config.K).multinomial(config.n_test, weights)
-    score_rows, label_rows = [], []
-    for i, count in zip(config.benign_ids, per_client):
-        if count == 0:
-            continue
-        gen = _rng(trial_seed, _ROLE_TEST, i)
-        t_probs, t_labels = _draw_rows(profiles[i].mixture, profiles[i].signal, int(count), gen)
-        u = gen.uniform(size=int(count)) if config.score_kind == "aps" else None
-        score_rows.append(label_score_matrix(t_probs, config.score_kind, u))
-        label_rows.append(t_labels)
-    test = TestBatch(np.concatenate(score_rows), np.concatenate(label_rows))
-
-    reports_by_id = {r.client_id: r for r in reports}
-    expected = {i: _expected_vector_estimate(profiles[i], config.C, config.score_kind, edges,
-                                             _rng(trial_seed, _ROLE_SIGMA, i))
-                for i in config.benign_ids}
-    certificate = _certificate(config, selected, reports_by_id, expected)
-
-    return TrialReport(
-        trial_index=int(trial_index),
-        naive=evaluate(test, q_naive.q_hat),
-        robust=evaluate(test, q_robust.q_hat),
-        benign_set=selected, k_m_hat=k_m_hat, certificate=certificate,
-        q_naive=q_naive.q_hat, q_robust=q_robust.q_hat,
-        detection_exact=detection_exact)
-
-
-def _direct_true_vector(num_bins: int) -> np.ndarray:
-    """Shared benign bin-mass vector in histogram_direct mode: uniform.
-
-    Direct mode exists to validate certificates at sample sizes where
-    per-sample generation is wasteful.  The uniform law maximally spreads
-    mass, which minimizes the sketch's rank-resolution term epsilon = max bin
-    mass (its floor is 1/H); all clients share it, so sigma = 0 exactly.
-    """
-    return np.full(num_bins, 1.0 / num_bins)
-
-
-def _sample_from_histogram(true_v: np.ndarray, edges: np.ndarray, n: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Raw scores from the piecewise-uniform law implied by (edges, true_v)."""
-    bins = rng.choice(true_v.size, size=n, p=true_v)
-    widths = np.diff(edges)
-    return edges[bins] + rng.uniform(size=n) * widths[bins]
-
-
-def _run_trial_direct(config: SimulationConfig, trial_index: int, trial_seed: int,
-                      edges: np.ndarray) -> TrialReport:
-    true_v = _direct_true_vector(config.H)
-    cum = np.cumsum(true_v)
-
-    reports: list[ClientReport] = []
-    for i in config.benign_ids:
-        n = config.n_per_client[i]
-        counts = _rng(trial_seed, _ROLE_DATA, i).multinomial(n, true_v)
-        reports.append(ClientReport(client_id=i, n=n, v=counts / n, edges=edges))
-    benign_reports = list(reports)
-    for i in config.malicious_ids:
-        n = config.n_per_client[i]
-        rng = _rng(trial_seed, _ROLE_ATTACK, i)
-        base = (_sample_from_histogram(true_v, edges, n, _rng(trial_seed, _ROLE_DATA, i))
-                if config.attack.kind in ("gaussian", "none") else None)
-        reports.append(apply_attack(config.attack, i, n, edges, rng,
-                                    benign_scores=base, benign_reports=benign_reports))
-
-    selected, k_m_hat, detection_exact = _select_clients(config, reports)
-    q_naive = federated_quantile(aggregate(reports), config.alpha)
-    q_robust = federated_quantile(aggregate(reports, selected), config.alpha)
-
-    def true_coverage(q) -> float:
-        # Thresholds are always bin upper edges; the implied law has no atoms.
-        return float(cum[q.bin_index])
-
-    # No label space in this mode: set size is reported as 0.0.
-    naive = EvalMetrics(marginal_coverage=true_coverage(q_naive), average_set_size=0.0)
-    robust = EvalMetrics(marginal_coverage=true_coverage(q_robust), average_set_size=0.0)
-
-    reports_by_id = {r.client_id: r for r in reports}
-    expected = {i: true_v for i in config.benign_ids}
-    certificate = _certificate(config, selected, reports_by_id, expected)
+    result = robust_calibrate(reports, config.alpha,
+                              config.k_m if config.km_known else None, config.p_norm)
+    naive, robust = mode.evaluate((result.naive, result.robust))
+    expected = {i: mode.expected_vector(i) for i in config.benign_ids}
+    certificate = _certificate(config, result.selected, {r.client_id: r for r in reports},
+                               expected)
 
     return TrialReport(
         trial_index=int(trial_index), naive=naive, robust=robust,
-        benign_set=selected, k_m_hat=k_m_hat, certificate=certificate,
-        q_naive=q_naive.q_hat, q_robust=q_robust.q_hat,
-        detection_exact=detection_exact)
+        benign_set=result.selected, k_m_hat=result.k_m_hat, certificate=certificate,
+        q_naive=result.naive.q_hat, q_robust=result.robust.q_hat,
+        detection_exact=set(result.selected) == set(config.benign_ids))
 
 
 def thread_cap() -> int | None:

@@ -53,20 +53,6 @@ def histogram_characterize(scores, edges) -> np.ndarray:
     return counts / s.size
 
 
-def gaussian_characterize(scores) -> tuple[float, float]:
-    """Population mean and standard deviation of a score set.
-
-    A two-number sketch kept for comparison with the histogram sketch; it is
-    not used by the calibration path.
-    """
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise InputError("cannot characterize an empty score set")
-    if not np.all(np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0:
-        raise InputError("scores must lie in [0, 1]")
-    return float(s.mean()), float(s.std())
-
-
 def validate_characterization(v, num_bins: int | None = None) -> np.ndarray:
     vec = np.asarray(v, dtype=float)
     if vec.ndim != 1 or vec.size < 1:

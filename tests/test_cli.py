@@ -7,8 +7,8 @@ import pytest
 
 from robfcp.attacks import AttackSpec
 from robfcp.cli import main
-from robfcp.sketch import sketch_scores, uniform_bin_edges
-from robfcp.io import write_reports
+from robfcp.io import read_reports, write_reports
+from robfcp.sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 
 def run_cli(capsys, *argv):
@@ -35,7 +35,6 @@ def reports_path(tmp_path):
     reports = [sketch_scores(i, rng.beta(2, 4, size=300), edges) for i in range(7)]
     forged = np.zeros(50)
     forged[0] = 1.0
-    from robfcp.sketch import ClientReport
     reports += [ClientReport(client_id=7 + j, n=300, v=forged.copy(), edges=edges)
                 for j in range(3)]
     path = tmp_path / "reports.jsonl"
@@ -89,6 +88,23 @@ class TestSimulate:
         assert [row["value"] for row in payload["sweep"]["rows"]] == [0, 1, 2]
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 1 + 3 * 3  # three sweep values x three trials
+
+    def test_sweep_over_K(self, capsys, config_path, tmp_path):
+        csv_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "simulate", "--config", config_path,
+                                 "--sweep", "K=6:8", "--csv", str(csv_path))
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["sweep"]["rows"]
+        assert [row["value"] for row in rows] == [6, 7, 8]
+        assert len(csv_path.read_text().splitlines()) == 1 + 3 * 3
+
+    def test_sweep_over_K_rejects_per_client_lists(self, capsys, tmp_path):
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps({"K": 6, "k_m": 2, "n_per_client": [200, 300] * 3,
+                                    "C": 4, "H": 20, "n_test": 100, "seed": 1}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--sweep", "K=6:7")
+        assert code == 2
+        assert err.startswith("ERROR:config:n_per_client list must have K=7 entries")
 
     def test_sweep_unknown_key(self, capsys, config_path):
         code, out, err = run_cli(capsys, "simulate", "--config", config_path,
@@ -238,6 +254,44 @@ class TestCalibrate:
         payload = json.loads(out)
         assert payload["benign_set"] == [0, 1, 2, 3]
         assert 0.0 < payload["q_hat"] <= 1.0
+
+    @pytest.mark.parametrize("ids", ["offset", "rotated"])
+    @pytest.mark.parametrize("mode", [["--kb", "7"], ["--estimate-km"]])
+    def test_selects_client_ids_not_rows(self, capsys, reports_path, tmp_path, ids, mode):
+        """The forged reports are rows 7-9; the output names clients by id."""
+        code, out, _ = run_cli(capsys, "calibrate", "--reports", reports_path,
+                               "--alpha", "0.1", *mode)
+        assert code == 0
+        plain = json.loads(out)
+        relabel = {"offset": lambda row: 100 + row,
+                   "rotated": lambda row: (row + 3) % 10}[ids]
+        reports = [ClientReport(relabel(r.client_id), r.n, r.v, r.edges)
+                   for r in read_reports(reports_path)]
+        rng = np.random.default_rng(1)
+        path = tmp_path / "relabelled.jsonl"
+        write_reports(path, [reports[i] for i in rng.permutation(len(reports))])
+        code, out, err = run_cli(capsys, "calibrate", "--reports", str(path),
+                                 "--alpha", "0.1", *mode)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["benign_set"] == sorted(relabel(row) for row in range(7))
+        assert payload["k_m_hat"] == 3
+        assert payload["q_hat"] == plain["q_hat"]
+
+    @pytest.mark.parametrize("kb", ["-1", "0", "1", "11"])
+    def test_kb_outside_range(self, capsys, reports_path, kb):
+        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                               "--alpha", "0.1", "--kb", kb)
+        assert code == 2
+        assert err.startswith("ERROR:input:")
+
+    def test_kb_equal_to_K_keeps_everyone(self, capsys, reports_path):
+        code, out, _ = run_cli(capsys, "calibrate", "--reports", reports_path,
+                               "--alpha", "0.1", "--kb", "10")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["benign_set"] == list(range(10))
+        assert payload["k_m_hat"] == 0
 
     def test_inadmissible_alpha_surfaces_input_error(self, capsys, reports_path):
         code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,

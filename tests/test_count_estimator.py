@@ -10,10 +10,10 @@ from scipy.stats import multivariate_normal
 from robfcp.count_estimator import (
     CountEstimate,
     GaussianModel,
+    _log_likelihoods,
     estimate_benign_count,
     estimate_malicious_count,
     gaussian_fit,
-    log_likelihood,
     looks_all_benign,
     objective_T,
 )
@@ -141,9 +141,10 @@ class TestNonFiniteInput:
                 call()
 
     def test_log_likelihood_rejects_nan_vector(self):
-        model = gaussian_fit(np.array([[0.5, 0.5], [0.4, 0.6]]))
+        """A NaN vector that is only scored under the fit, never fitted, is rejected."""
+        vectors = np.array([[0.5, 0.5], [0.4, 0.6], [np.nan, 0.5]])
         with pytest.raises(InputError, match="finite"):
-            log_likelihood(np.array([np.nan, 0.5]), model)
+            objective_T(2, vectors)
 
 
 class TestGaussianFit:
@@ -156,7 +157,7 @@ class TestGaussianFit:
     def test_ridge_floor_on_identical_vectors(self):
         model = gaussian_fit(np.tile([0.3, 0.7], (4, 1)))
         np.testing.assert_allclose(np.diag(model.covariance), 1e-8)
-        assert np.isfinite(log_likelihood(np.array([0.3, 0.7]), model))
+        assert np.isfinite(_log_likelihoods(np.array([[0.3, 0.7]]), model)).all()
 
     def test_ridge_scales_with_trace(self):
         rng = np.random.default_rng(42)
@@ -180,7 +181,7 @@ class TestGaussianFit:
 class TestLogLikelihood:
     def test_standard_normal_at_one_sigma(self):
         model = GaussianModel(mean=np.zeros(1), covariance=np.eye(1), ridge=0.0)
-        assert log_likelihood(np.array([1.0]), model) == pytest.approx(
+        assert _log_likelihoods(np.array([[1.0]]), model)[0] == pytest.approx(
             -0.5 * np.log(2.0 * np.pi) - 0.5)
 
     def test_matches_scipy(self):
@@ -188,13 +189,8 @@ class TestLogLikelihood:
         x = rng.uniform(size=(30, 5))
         model = gaussian_fit(x)
         ref = multivariate_normal(mean=model.mean, cov=model.covariance)
-        for v in x[:10]:
-            assert log_likelihood(v, model) == pytest.approx(ref.logpdf(v), rel=1e-10)
-
-    def test_dimension_mismatch(self):
-        model = gaussian_fit(np.array([[0.5, 0.5], [0.4, 0.6]]))
-        with pytest.raises(InputError):
-            log_likelihood(np.array([0.5]), model)
+        np.testing.assert_allclose(_log_likelihoods(x[:10], model), ref.logpdf(x[:10]),
+                                   rtol=1e-10)
 
 
 class TestObjectiveT:

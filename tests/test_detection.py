@@ -24,8 +24,6 @@ def _dist(vectors, p=2):
 def _broadcast_pairwise(vectors, p):
     """The (K, K, H) broadcast formula the row sweep replaced, kept as its oracle."""
     diff = vectors[:, None, :] - vectors[None, :, :]
-    if p == "inf":
-        return np.abs(diff).max(axis=2)
     return (np.abs(diff) ** p).sum(axis=2) ** (1.0 / p)
 
 
@@ -51,7 +49,7 @@ class TestPairwiseDistances:
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(42)
         vecs = rng.dirichlet(np.ones(6), size=5)
-        for p in (1, 2, 3, "inf", "cosine"):
+        for p in (1, 2, 3):
             d = _dist(vecs, p=p).d
             np.testing.assert_allclose(d, d.T)
             np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-12)
@@ -64,17 +62,6 @@ class TestPairwiseDistances:
         d = _dist([[1.0, 0.0], [0.0, 1.0]], p=2).d
         assert d[0, 1] == pytest.approx(math.sqrt(2.0))
 
-    def test_inf_norm(self):
-        d = _dist([[1.0, 0.0], [0.4, 0.6]], p="inf").d
-        assert d[0, 1] == pytest.approx(0.6)
-
-    def test_cosine(self):
-        # orthogonal vectors -> cosine distance 1; identical -> 0
-        d = _dist([[1.0, 0.0], [0.0, 1.0]], p="cosine").d
-        assert d[0, 1] == pytest.approx(1.0)
-        d = _dist([[0.5, 0.5], [0.5, 0.5]], p="cosine").d
-        assert d[0, 1] == pytest.approx(0.0, abs=1e-12)
-
     def test_accepts_reports(self):
         edges = uniform_bin_edges(4)
         reports = [sketch_scores(i, [0.1 * (i + 1)], edges) for i in range(3)]
@@ -86,10 +73,9 @@ class TestPairwiseDistances:
             _dist([[1.0, 0.0]])
 
     def test_rejects_bad_norm(self):
-        with pytest.raises(InputError):
-            _dist([[1.0, 0.0], [0.0, 1.0]], p=0)
-        with pytest.raises(InputError):
-            _dist([[1.0, 0.0], [0.0, 1.0]], p="manhattan")
+        for p in (0, -1, 1.5, "manhattan", "inf", math.inf, "cosine"):
+            with pytest.raises(InputError, match="integer >= 1"):
+                _dist([[1.0, 0.0], [0.0, 1.0]], p=p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_vectors(self, bad):
@@ -111,7 +97,7 @@ class TestRowSweepMatchesBroadcast:
     """The row-swept kernel is bit-identical to the broadcast formula."""
 
     @SWEEP
-    @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3, "inf")))
+    @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3)))
     def test_bit_identical(self, vectors, p):
         d = pairwise_distances(vectors, p=p).d
         assert np.array_equal(d, _broadcast_pairwise(vectors, p))
@@ -191,10 +177,6 @@ class TestSelectBenign:
             select_benign(scores, 0)
         with pytest.raises(InputError):
             select_benign(scores, 4)
-
-    def test_order_is_stable_sort(self):
-        ranking = select_benign(np.array([0.2, 0.1, 0.2, 0.05]), k_b=4)
-        assert tuple(ranking.order()) == (3, 1, 0, 2)
 
 
 class TestRankReports:

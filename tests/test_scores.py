@@ -8,10 +8,10 @@ from robfcp.scores import (
     TestBatch,
     aps_score,
     aps_scores,
-    batch_scores,
     lac_score,
     lac_scores,
     label_score_matrix,
+    score_batch,
     validate_probabilities,
 )
 
@@ -107,23 +107,34 @@ class TestValidation:
 
 
 class TestBatchScores:
+    """score_batch: the one lac/aps dispatch, and the only place ``u`` is drawn."""
+
     def test_lac_batch(self):
-        rows = [([0.7, 0.3], 0), ([0.2, 0.8], 1)]
-        np.testing.assert_allclose(batch_scores(rows), [0.3, 0.2])
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        scores = score_batch(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0, 1]), "lac", rng)
+        np.testing.assert_allclose(scores, [0.3, 0.2])
+        assert rng.bit_generator.state == state  # lac draws nothing
 
     def test_aps_batch_deterministic_with_rng(self):
-        rows = [([0.5, 0.3, 0.2], 1), ([0.2, 0.6, 0.2], 0)]
-        a = batch_scores(rows, kind="aps", rng=np.random.default_rng(9))
-        b = batch_scores(rows, kind="aps", rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(4), size=25)
+        labels = rng.integers(0, 4, size=25)
+        u = np.random.default_rng(9).uniform(size=25)
+        np.testing.assert_array_equal(
+            score_batch(probs, labels, "aps", np.random.default_rng(9)),
+            aps_scores(probs, labels, u))
+        np.testing.assert_array_equal(
+            score_batch(probs, labels, "aps", np.random.default_rng(9), per_label=True),
+            label_score_matrix(probs, "aps", u))
+        np.testing.assert_array_equal(
+            score_batch(probs, labels, "lac", np.random.default_rng(9), per_label=True),
+            label_score_matrix(probs, "lac"))
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            batch_scores([([0.5, 0.5], 0)], kind="raps")
-
-    def test_empty(self):
-        with pytest.raises(InputError):
-            batch_scores([])
+            score_batch(np.array([[0.5, 0.5]]), np.array([0]), "raps",
+                        np.random.default_rng(0))
 
 
 class TestLabelScoreMatrix:

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robfcp.attacks import AttackSpec
+from robfcp.calibration import aggregate, federated_quantile
+from robfcp.count_estimator import estimate_malicious_count
+from robfcp.detection import maliciousness_scores, pairwise_distances, rank_reports
 from robfcp.errors import ConfigError, InputError
 from robfcp.simulation import (
     ClientProfile,
@@ -12,10 +17,12 @@ from robfcp.simulation import (
     generate_client_data,
     monte_carlo,
     resolve_workers,
+    robust_calibrate,
     run_trial,
     summarize,
     thread_cap,
 )
+from robfcp.sketch import ClientReport, uniform_bin_edges
 
 
 def _config(**overrides):
@@ -80,26 +87,25 @@ class TestDataGeneration:
 
     def test_scores_live_on_unit_interval(self):
         profile = ClientProfile(0, np.full(5, 0.2), 2.0, 500)
-        scores, test = generate_client_data(profile, 5, "lac",
-                                            np.random.default_rng(1), n_test=100)
-        assert scores.shape == (500,)
-        assert scores.min() >= 0.0 and scores.max() <= 1.0
-        assert len(test) == 100
+        for kind in ("lac", "aps"):
+            scores = generate_client_data(profile, 5, kind, np.random.default_rng(1))
+            assert scores.shape == (500,)
+            assert scores.min() >= 0.0 and scores.max() <= 1.0
 
     def test_signal_sharpens_scores(self):
         """Stronger true-class logit boost drives the true-label score down."""
         profile_weak = ClientProfile(0, np.full(5, 0.2), 0.0, 4000)
         profile_strong = ClientProfile(0, np.full(5, 0.2), 3.0, 4000)
-        weak, _ = generate_client_data(profile_weak, 5, "lac", np.random.default_rng(3))
-        strong, _ = generate_client_data(profile_strong, 5, "lac", np.random.default_rng(3))
+        weak = generate_client_data(profile_weak, 5, "lac", np.random.default_rng(3))
+        strong = generate_client_data(profile_strong, 5, "lac", np.random.default_rng(3))
         assert strong.mean() < weak.mean()
         # with no signal the softmax rows are exchangeable: mean ~ 1 - 1/C
         assert weak.mean() == pytest.approx(1.0 - 0.2, abs=0.02)
 
     def test_aps_uses_randomization(self):
         profile = ClientProfile(0, np.full(4, 0.25), 1.0, 300)
-        lac, _ = generate_client_data(profile, 4, "lac", np.random.default_rng(9))
-        aps, _ = generate_client_data(profile, 4, "aps", np.random.default_rng(9))
+        lac = generate_client_data(profile, 4, "lac", np.random.default_rng(9))
+        aps = generate_client_data(profile, 4, "aps", np.random.default_rng(9))
         assert not np.allclose(lac, aps)
 
 
@@ -193,6 +199,106 @@ class TestDirectMode:
         cfg = _config(K=6, k_m=2, n_per_client=2000, H=10,
                       attack=AttackSpec("gaussian"), mode="histogram_direct")
         assert run_trial(cfg, 3) == run_trial(cfg, 3)
+
+
+SWEEP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def federations(draw):
+    """(reports with ids 0..K-1, k_m): a Dirichlet cluster plus k_m forged vectors."""
+    k = draw(st.integers(4, 12))
+    k_m = draw(st.integers(0, (k - 1) // 2))
+    h = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.dirichlet(np.ones(h))
+    vectors = rng.dirichlet(200.0 * base + 0.5, size=k)
+    vectors[k - k_m:] = rng.dirichlet(np.full(h, 0.3), size=k_m)
+    edges = uniform_bin_edges(h)
+    return [ClientReport(i, int(n), v, edges)
+            for i, (n, v) in enumerate(zip(rng.integers(50, 500, size=k), vectors))], k_m
+
+
+def _untied(reports) -> bool:
+    """Scores at every k_b the screen can use, and the all-benign test, are far from a tie.
+
+    Row order changes the summation order of the scores in the last bits, so
+    only untied inputs are invariant under permutation.  (At k_b = 2 mutual
+    nearest neighbours always tie, but no strict-majority screen uses it.)
+    """
+    d = pairwise_distances(reports)
+    for k_b in range(len(reports) // 2 + 1, len(reports) + 1):
+        s = np.sort(maliciousness_scores(d, k_b))
+        if np.diff(s).min() <= 1e-9 * s[-1] or abs(s[-1] - 2.0 * np.median(s)) <= 1e-9 * s[-1]:
+            return False
+    return True
+
+
+def _relabel(report, client_id):
+    return ClientReport(client_id, report.n, report.v, report.edges)
+
+
+class TestRobustCalibrate:
+    def test_maps_rows_to_client_ids(self):
+        edges = uniform_bin_edges(4)
+        honest = np.array([0.4, 0.3, 0.2, 0.1])
+        vectors = [honest, honest + [0.01, -0.01, 0, 0], np.array([0.0, 0.0, 0.0, 1.0]),
+                   honest + [0, 0, 0.01, -0.01]]
+        reports = [ClientReport(cid, 100, v, edges) for cid, v in zip((42, 7, 3, 19), vectors)]
+        result = robust_calibrate(reports, 0.1, k_m=1)
+        assert result.selected == (7, 19, 42)
+        assert result.k_m_hat == 1
+        assert result.robust == federated_quantile(aggregate(reports, (7, 19, 42)), 0.1)
+        assert result.naive == federated_quantile(aggregate(reports), 0.1)
+
+    @pytest.mark.parametrize("k_m", [-1, 3, 4])
+    def test_rejects_k_m_that_keeps_fewer_than_two(self, k_m):
+        edges = uniform_bin_edges(2)
+        reports = [ClientReport(i, 10, [0.5, 0.5], edges) for i in range(4)]
+        with pytest.raises(InputError):
+            robust_calibrate(reports, 0.1, k_m=k_m)
+
+    @SWEEP
+    @given(fed=federations(), data=st.data())
+    def test_k_m_zero_keeps_every_id(self, fed, data):
+        reports, _ = fed
+        ids = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=len(reports),
+                                 max_size=len(reports), unique=True))
+        relabelled = [_relabel(r, i) for r, i in zip(reports, ids)]
+        result = robust_calibrate(relabelled, 0.2, k_m=0)
+        assert result.selected == tuple(sorted(ids))
+        assert result.k_m_hat == 0
+        assert result.robust == result.naive
+
+    @SWEEP
+    @given(fed=federations(), known=st.booleans(), data=st.data())
+    def test_permuting_and_relabelling_maps_selection(self, fed, known, data):
+        reports, k_m = fed
+        assume(_untied(reports))
+        k = len(reports)
+        order = data.draw(st.permutations(range(k)))
+        ids = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=k, max_size=k, unique=True))
+        shuffled = [_relabel(reports[row], ids[row]) for row in order]
+        given_k_m = k_m if known else None
+        base = robust_calibrate(reports, 0.2, given_k_m)
+        moved = robust_calibrate(shuffled, 0.2, given_k_m)
+        assert moved.selected == tuple(sorted(ids[i] for i in base.selected))
+        assert (moved.k_m_hat, moved.naive, moved.robust) == \
+            (base.k_m_hat, base.naive, base.robust)
+
+    @SWEEP
+    @given(fed=federations())
+    def test_agrees_with_rank_reports(self, fed):
+        reports, k_m = fed
+        k = len(reports)
+        if k_m > 0:
+            expected = rank_reports(reports, k - k_m).benign_set
+            assert robust_calibrate(reports, 0.2, k_m).selected == expected
+        estimate, all_benign = estimate_malicious_count(reports)
+        k_m_hat = 0 if all_benign else estimate.k_m_hat
+        expected = tuple(range(k)) if k_m_hat == 0 else rank_reports(reports, k - k_m_hat).benign_set
+        result = robust_calibrate(reports, 0.2)
+        assert (result.selected, result.k_m_hat) == (expected, k_m_hat)
 
 
 class TestMonteCarlo:

@@ -6,7 +6,6 @@ import pytest
 from robfcp.errors import FormatError, InputError
 from robfcp.sketch import (
     ClientReport,
-    gaussian_characterize,
     histogram_characterize,
     reconstruct_counts,
     report_from_json,
@@ -64,12 +63,6 @@ class TestHistogramCharacterize:
             histogram_characterize([0.5, 1.2], uniform_bin_edges(4))
         with pytest.raises(InputError):
             histogram_characterize([], uniform_bin_edges(4))
-
-
-def test_gaussian_characterize_population_moments():
-    mean, std = gaussian_characterize([0.2, 0.4, 0.6, 0.8])
-    assert mean == pytest.approx(0.5)
-    assert std == pytest.approx(np.sqrt(0.05))  # population std, divisor n
 
 
 class TestClientReport:
