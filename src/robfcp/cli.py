@@ -186,6 +186,7 @@ def cmd_estimate(args) -> None:
         "objective_trace": [[z, t] for z, t in estimate.objective_trace],
         "iterations": estimate.iterations,
         "converged": estimate.converged,
+        "cycled": estimate.cycled,
     }
     _emit(json.dumps(payload, indent=2), args.out)
 

@@ -107,8 +107,11 @@ class CountEstimate:
     """Result of the benign-count scan.
 
     ``converged`` is True when the scan stopped because a benign count
-    repeated (a fixed point, or a return to an earlier count), False when
-    ``max_iter`` ran out first.
+    repeated, False when ``max_iter`` ran out first.  ``cycled`` tells the two
+    kinds of repeat apart: False for a fixed point (the scan returned the
+    count it ranked with), True for a return to an earlier, different count.
+    In a cycle ranking and split point never agree, and ``k_b_hat`` is the
+    count the scan returned to.
     """
 
     k_b_hat: int
@@ -116,6 +119,7 @@ class CountEstimate:
     objective_trace: tuple[tuple[int, float], ...]
     iterations: int
     converged: bool
+    cycled: bool
 
 
 def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
@@ -145,7 +149,7 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
     trace: list[tuple[int, float]] = []
     iterations = 0
     k_hat = k_tilde
-    converged = False
+    converged = cycled = False
     for _ in range(max_iter):
         iterations += 1
         scores = maliciousness_scores(distances, k_tilde)
@@ -156,13 +160,13 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
         trace = list(zip(zs, ts))
         k_hat = zs[int(np.argmax(ts))]
         if k_hat in seen:
-            converged = True
+            converged, cycled = True, k_hat != k_tilde
             break
         seen.add(k_hat)
         k_tilde = k_hat
     return CountEstimate(k_b_hat=int(k_hat), k_m_hat=int(k - k_hat),
                          objective_trace=tuple(trace), iterations=iterations,
-                         converged=converged)
+                         converged=converged, cycled=cycled)
 
 
 def looks_all_benign(scores) -> bool:

@@ -177,9 +177,15 @@ def dirichlet_mixture(num_classes: int, num_clients: int, beta: float,
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    """Row softmax computed in place: ``logits`` is overwritten and returned.
+
+    The same IEEE operations as shift, exp and divide into fresh arrays, so
+    the result is bit-identical, without two (n, C) temporaries per draw.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _draw_rows(mixture: np.ndarray, signal: float, n: int, rng: np.random.Generator):

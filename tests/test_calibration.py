@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robfcp.calibration import (
     AggregateHistogram,
@@ -138,6 +140,39 @@ class TestFederatedQuantile:
             q = federated_quantile(aggregate(reports), alpha)
             assert exact <= q.q_hat + 1e-12
             assert q.q_hat <= exact + 1.0 / h + 1e-12
+
+
+@st.composite
+def nonuniform_edges(draw):
+    """Strictly increasing edges on [0, 1] with Dirichlet-distributed bin widths."""
+    h = draw(st.integers(2, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    widths = rng.dirichlet(np.full(h, draw(st.sampled_from((0.2, 1.0, 5.0)))))
+    edges = np.concatenate([[0.0], np.cumsum(widths)[:-1], [1.0]])
+    assume(np.all(np.diff(edges) > 0.0))
+    return edges
+
+
+class TestSandwichNonUniformEdges:
+    """The quantile sandwich on uneven bins: q_hat closes the bin holding the exact quantile."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(edges=nonuniform_edges(), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           alpha_share=st.floats(0.0, 1.0))
+    def test_sandwich(self, edges, k, seed, alpha_share):
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.3, 4.0, size=2)
+        per_client = [rng.beta(a, b, size=int(rng.integers(5, 200))) for _ in range(k)]
+        reports = [sketch_scores(i, s, edges) for i, s in enumerate(per_client)]
+        pooled = np.sort(np.concatenate(per_client))
+        n = pooled.size
+        alpha = k / (n + k) + alpha_share * (0.9 - k / (n + k))
+        rank = min(math.ceil((1.0 - alpha) * (n + k) - 1e-9), n)
+        exact = pooled[rank - 1]
+        q = federated_quantile(aggregate(reports), alpha)
+        assert q.q_hat == edges[q.bin_index + 1]
+        assert edges[q.bin_index] - 1e-12 <= exact <= q.q_hat + 1e-12
+        assert q.q_hat - exact <= np.diff(edges).max() + 1e-12
 
 
 class TestPredictionSets:

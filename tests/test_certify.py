@@ -137,6 +137,45 @@ class TestCoverageBounds:
             _params(epsilon=-0.001)
 
 
+class TestLowerBoundMonotone:
+    """More benign samples never lower the certificate; more kept attackers never raise it.
+
+    In ``min_benign_n`` every term of the lower bound falls except the
+    resolution term (eps*n_b + 1)/(n_b + k_b), which is non-increasing in n_b
+    only while eps*k_b <= 1; the sweep draws eps in that range.  The float
+    slack of 1e-12 absorbs rounding in that ratio.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(k_b=st.integers(1, 200), h=st.integers(1, 200), n_b=st.integers(1, 10 ** 7),
+           factor=st.integers(2, 1000), km_share=st.floats(0.0, 0.99),
+           n_m=st.integers(0, 10 ** 7), sigma=st.floats(0.0, 0.5),
+           eps_share=st.floats(0.0, 1.0), dkw=st.booleans())
+    def test_non_decreasing_in_min_benign_n(self, k_b, h, n_b, factor, km_share, n_m, sigma,
+                                            eps_share, dkw):
+        bounds = coverage_bounds_dkw if dkw else coverage_bounds
+        base = dict(alpha=0.1, beta=0.05, num_bins=h, num_benign=k_b,
+                    num_malicious=int(km_share * k_b), total_malicious_n=n_m, sigma=sigma,
+                    epsilon=eps_share / k_b)
+        small = bounds(CertificateParams(min_benign_n=n_b, **base))
+        large = bounds(CertificateParams(min_benign_n=n_b * factor, **base))
+        assert large.lower >= small.lower - 1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(k_b=st.integers(2, 200), h=st.integers(1, 200), n_b=st.integers(1, 10 ** 7),
+           km=st.data(), n_m=st.integers(0, 10 ** 7), sigma=st.floats(0.0, 0.5),
+           eps=st.floats(0.0, 1.0), dkw=st.booleans())
+    def test_non_increasing_in_num_malicious(self, k_b, h, n_b, km, n_m, sigma, eps, dkw):
+        bounds = coverage_bounds_dkw if dkw else coverage_bounds
+        fewer = km.draw(st.integers(0, k_b - 2))
+        more = km.draw(st.integers(fewer + 1, k_b - 1))
+        base = dict(alpha=0.1, beta=0.05, num_bins=h, num_benign=k_b, min_benign_n=n_b,
+                    total_malicious_n=n_m, sigma=sigma, epsilon=eps)
+        low_km = bounds(CertificateParams(num_malicious=fewer, **base))
+        high_km = bounds(CertificateParams(num_malicious=more, **base))
+        assert high_km.lower <= low_km.lower
+
+
 class TestDkwBounds:
     def test_radius_closed_form(self):
         """beta = 2 K_b / e^2 turns the DKW radius into exactly H / sqrt(n_b)."""

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from robfcp import count_estimator
 from robfcp.attacks import AttackSpec
 from robfcp.cli import main
 from robfcp.io import read_reports, write_reports
@@ -186,7 +187,7 @@ class TestEstimate:
         assert payload["k_m_hat"] == 3
         zs = [z for z, _ in payload["objective_trace"]]
         assert zs == [6, 7, 8, 9]
-        assert payload["converged"] is True
+        assert payload["converged"] is True and payload["cycled"] is False
         assert payload["iterations"] >= 1
 
     def test_reports_max_iter_exhaustion(self, capsys, reports_path):
@@ -196,6 +197,20 @@ class TestEstimate:
         payload = json.loads(out)
         assert payload["converged"] is False
         assert payload["iterations"] == 1
+
+    def test_reports_cycle(self, capsys, reports_path, monkeypatch):
+        """T forced to peak at z=8 in round one and z=6 in round two: a 2-cycle 6 -> 8 -> 6."""
+        calls = []
+
+        def fake_objective(z, ordered_vectors):
+            calls.append(z)
+            return 1.0 if z == (8 if len(calls) <= 4 else 6) else 0.0
+
+        monkeypatch.setattr(count_estimator, "objective_T", fake_objective)
+        code, out, _ = run_cli(capsys, "estimate", "--reports", reports_path)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["iterations"], payload["converged"], payload["cycled"]) == (2, True, True)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--reports",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
+from robfcp import count_estimator
 from robfcp.count_estimator import (
     CountEstimate,
     GaussianModel,
@@ -235,7 +236,7 @@ class TestEstimateBenignCount:
     def test_converged_when_count_repeats(self):
         vectors = _cluster_with_outliers(7, 3, seed=5)
         est = estimate_benign_count(vectors)
-        assert est.converged
+        assert est.converged and not est.cycled
         assert est.k_b_hat == 7 and est.iterations == 2
 
     def test_not_converged_when_max_iter_runs_out(self):
@@ -249,6 +250,49 @@ class TestEstimateBenignCount:
         a = estimate_benign_count(vectors)
         b = estimate_benign_count(vectors)
         assert a == b
+
+
+def force_scan_peaks(monkeypatch, k, peaks):
+    """Replace T so that round r of the scan over k clients peaks at z = peaks[r]."""
+    per_round = k - (k // 2 + 1)
+    calls = []
+
+    def fake_objective(z, ordered_vectors):
+        calls.append(z)
+        return 1.0 if z == peaks[(len(calls) - 1) // per_round] else 0.0
+
+    monkeypatch.setattr(count_estimator, "objective_T", fake_objective)
+
+
+class TestScanStopKinds:
+    """A fixed point, a return to an earlier different count, and running out of rounds."""
+
+    VECTORS = _cluster_with_outliers(7, 3, seed=5)  # K=10: scan range 6..9, start at 6
+
+    def test_fixed_point_on_the_start(self, monkeypatch):
+        force_scan_peaks(monkeypatch, 10, [6])
+        est = estimate_benign_count(self.VECTORS)
+        assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (6, 1, True, False)
+
+    def test_fixed_point(self, monkeypatch):
+        force_scan_peaks(monkeypatch, 10, [8, 8])
+        est = estimate_benign_count(self.VECTORS)
+        assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (8, 2, True, False)
+
+    def test_two_cycle(self, monkeypatch):
+        force_scan_peaks(monkeypatch, 10, [8, 6])
+        est = estimate_benign_count(self.VECTORS)
+        assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (6, 2, True, True)
+
+    def test_longer_cycle(self, monkeypatch):
+        force_scan_peaks(monkeypatch, 10, [7, 8, 7])
+        est = estimate_benign_count(self.VECTORS)
+        assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (7, 3, True, True)
+
+    def test_max_iter_is_neither(self, monkeypatch):
+        force_scan_peaks(monkeypatch, 10, [7, 8, 9])
+        est = estimate_benign_count(self.VECTORS, max_iter=3)
+        assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (9, 3, False, False)
 
 
 class TestEscapeHatch:

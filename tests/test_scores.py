@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robfcp.errors import InputError
 from robfcp.scores import (
+    APS_BLOCK_ROWS,
     TestBatch,
     aps_score,
     aps_scores,
@@ -181,3 +184,104 @@ class TestTestBatch:
     def test_rejects_label_shape_mismatch(self):
         with pytest.raises(InputError):
             TestBatch(np.array([[0.5, 0.5]]), np.array([0, 1]))
+
+
+# --- oracles and property sweeps for the vectorised kernels ---
+
+SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _einsum_label_scores(p, u):
+    """The former O(N*C^2) aps label matrix: mass of every strictly greater label."""
+    greater = p[:, None, :] > p[:, :, None]
+    return np.einsum("nc,nyc->ny", p, greater) + p * u[:, None]
+
+
+def _unblocked_aps_scores(p, labels, u):
+    """The former aps_scores body: one (N, C) mask and product for the whole batch."""
+    py = p[np.arange(p.shape[0]), labels]
+    return (p * (p > py[:, None])).sum(axis=1) + py * u
+
+
+@st.composite
+def softmax_rows(draw, max_rows=40, max_classes=120):
+    """Random probability rows (N, C), labels and u draws, C in [2, max_classes]."""
+    n = draw(st.integers(1, max_rows))
+    c = draw(st.integers(2, max_classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    logits = rng.standard_normal((n, c)) * draw(st.sampled_from((0.1, 1.0, 4.0)))
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p, rng.integers(0, c, size=n), rng.uniform(size=n)
+
+
+# Rows of dyadic masses: every partial sum is exact, so any summation order
+# gives the same bits and the tie rule can be checked with ==.
+TIED_ROWS = np.array([
+    [0.25, 0.25, 0.25, 0.25],            # all equal
+    [0.375, 0.375, 0.125, 0.125],        # duplicated maximum, duplicated minimum
+    [0.5, 0.125, 0.125, 0.25],           # duplicated middle values
+    [0.125, 0.5, 0.125, 0.25],           # the same, permuted
+    [0.0, 0.5, 0.0, 0.5],                # zero masses tie too
+    [0.0625, 0.1875, 0.1875, 0.5625],    # duplicated middle, distinct ends
+])
+
+
+class TestApsLabelMatrixOracle:
+    """The sorted prefix-sum aps matrix against the former einsum formula."""
+
+    @SWEEP
+    @given(batch=softmax_rows())
+    def test_matches_einsum(self, batch):
+        p, _, u = batch
+        np.testing.assert_allclose(label_score_matrix(p, "aps", u), _einsum_label_scores(p, u),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("u", [0.0, 0.3, 1.0])
+    def test_ties_match_exactly(self, u):
+        uu = np.full(len(TIED_ROWS), u)
+        m = label_score_matrix(TIED_ROWS, "aps", uu)
+        np.testing.assert_array_equal(m, _einsum_label_scores(TIED_ROWS, uu))
+        # tied labels share the mass strictly above them
+        assert np.all(m[0] == 0.25 * u)
+        assert m[1, 0] == m[1, 1] == 0.375 * u
+        assert m[2, 1] == m[2, 2] == 0.75 + 0.125 * u
+
+    @SWEEP
+    @given(batch=softmax_rows())
+    def test_monotone_in_rank(self, batch):
+        """Scores follow the probability ranking, so every prediction set is nested."""
+        p, _, u = batch
+        m = label_score_matrix(p, "aps", u)
+        order = np.argsort(-p, axis=1, kind="stable")
+        ranked_p = np.take_along_axis(p, order, axis=1)
+        ranked_s = np.take_along_axis(m, order, axis=1)
+        assert np.all(np.diff(ranked_s, axis=1) >= 0.0)
+        tied = np.diff(ranked_p, axis=1) == 0.0
+        assert np.all(np.diff(ranked_s, axis=1)[tied] == 0.0)
+
+    @SWEEP
+    @given(batch=softmax_rows())
+    def test_true_label_column_matches_aps_scores(self, batch):
+        p, labels, u = batch
+        m = label_score_matrix(p, "aps", u)
+        np.testing.assert_allclose(m[np.arange(len(labels)), labels], aps_scores(p, labels, u),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_empty_batch(self):
+        m = label_score_matrix(np.empty((0, 5)), "aps", np.empty(0))
+        assert m.shape == (0, 5)
+
+
+class TestApsScoresBlocking:
+    """Row-blocked aps_scores is bit-identical to the one-shot formula."""
+
+    @pytest.mark.parametrize("n", [0, 1, APS_BLOCK_ROWS - 1, APS_BLOCK_ROWS, APS_BLOCK_ROWS + 1,
+                                   3 * APS_BLOCK_ROWS + 7])
+    def test_array_equal_to_unblocked(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.dirichlet(np.full(37, 0.5), size=n).reshape(n, 37)
+        labels = rng.integers(0, 37, size=n)
+        u = rng.uniform(size=n)
+        np.testing.assert_array_equal(aps_scores(p, labels, u),
+                                      _unblocked_aps_scores(p, labels, u))

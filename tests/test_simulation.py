@@ -13,6 +13,7 @@ from robfcp.errors import ConfigError, InputError
 from robfcp.simulation import (
     ClientProfile,
     SimulationConfig,
+    _softmax,
     dirichlet_mixture,
     generate_client_data,
     monte_carlo,
@@ -107,6 +108,25 @@ class TestDataGeneration:
         lac = generate_client_data(profile, 4, "lac", np.random.default_rng(9))
         aps = generate_client_data(profile, 4, "aps", np.random.default_rng(9))
         assert not np.allclose(lac, aps)
+
+
+def _three_temporary_softmax(logits):
+    """The former softmax: shifted copy, exp in place, divided into a new array."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+class TestSoftmax:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 300), c=st.integers(2, 120), scale=st.sampled_from((0.1, 1.0, 30.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_in_place_is_bit_identical(self, n, c, scale, seed):
+        logits = np.random.default_rng(seed).standard_normal((n, c)) * scale
+        expected = _three_temporary_softmax(logits)
+        out = _softmax(logits)
+        assert out is logits  # normalised in the caller's buffer
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestRunTrial:
