@@ -7,10 +7,10 @@ survivors, and can certify the achieved coverage in closed form.
 
 from .attacks import AttackSpec, apply_attack
 from .calibration import (AggregateHistogram, EvalMetrics, QuantileEstimate, aggregate,
-                          evaluate, federated_quantile, prediction_set)
+                          evaluate, federated_quantile)
 from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, estimator_precision_bound, heterogeneity_sigma,
-                      inv_norm_cdf, norm_cdf, overestimate_bounds, sketch_epsilon)
+                      overestimate_bounds, sketch_epsilon)
 from .count_estimator import (CountEstimate, GaussianModel, estimate_benign_count,
                               estimate_malicious_count, gaussian_fit, looks_all_benign,
                               objective_T)
@@ -18,7 +18,7 @@ from .detection import (DistanceMatrix, MaliciousnessRanking, maliciousness_scor
                         pairwise_distances, rank_reports, select_benign)
 from .errors import ConfigError, FormatError, InputError, RobfcpError
 from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
-from .scores import TestBatch, aps_score, lac_score, label_score_matrix, score_batch
+from .scores import TestBatch, label_score_matrix, score_batch
 from .simulation import (CalibrationResult, ClientProfile, MonteCarloResult, SimulationConfig,
                          TrialReport, dirichlet_mixture, generate_client_data, monte_carlo,
                          robust_calibrate, run_trial)
@@ -32,15 +32,13 @@ __all__ = [
     "ClientProfile", "ClientReport", "ConfigError", "CountEstimate", "CoverageCertificate",
     "DistanceMatrix", "EvalMetrics", "FormatError", "GaussianModel", "InputError",
     "MaliciousnessRanking", "MonteCarloResult", "QuantileEstimate", "RobfcpError",
-    "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack",
-    "aps_score", "config_echo", "coverage_bounds", "coverage_bounds_dkw",
-    "dirichlet_mixture", "estimate_benign_count", "estimate_malicious_count",
-    "estimator_precision_bound", "evaluate", "federated_quantile", "gaussian_fit",
-    "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
-    "inv_norm_cdf", "lac_score", "label_score_matrix", "looks_all_benign",
-    "maliciousness_scores", "monte_carlo", "norm_cdf", "objective_T", "overestimate_bounds",
-    "pairwise_distances", "parse_config", "prediction_set", "rank_reports", "read_reports",
-    "reconstruct_counts", "report_from_json", "report_to_json", "reports_from_csv",
-    "robust_calibrate", "run_trial", "score_batch", "select_benign", "sketch_epsilon",
-    "sketch_scores", "uniform_bin_edges", "write_reports",
+    "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack", "config_echo",
+    "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture", "estimate_benign_count",
+    "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",
+    "gaussian_fit", "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
+    "label_score_matrix", "looks_all_benign", "maliciousness_scores", "monte_carlo",
+    "objective_T", "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
+    "read_reports", "reconstruct_counts", "report_from_json", "report_to_json",
+    "reports_from_csv", "robust_calibrate", "run_trial", "score_batch", "select_benign",
+    "sketch_epsilon", "sketch_scores", "uniform_bin_edges", "write_reports",
 ]

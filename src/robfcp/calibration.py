@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .scores import TestBatch
-from .sketch import ClientReport, reconstruct_counts
+from .sketch import reconstruct_counts
 
 # Tolerance absorbed by rank arithmetic so float noise in (1-alpha)*(N+K)
 # cannot push ceil() over an exact integer boundary.
@@ -49,6 +49,8 @@ def aggregate(reports, selected=None) -> AggregateHistogram:
         selected = list(selected)
         if not selected:
             raise InputError("selected client set must be non-empty")
+        if len(set(selected)) != len(selected):
+            raise InputError("duplicate ids in the selected set")
         missing = [i for i in selected if i not in by_id]
         if missing:
             raise InputError(f"selected ids not present in reports: {missing}")
@@ -94,14 +96,6 @@ def federated_quantile(agg: AggregateHistogram, alpha: float) -> QuantileEstimat
     bin_index = int(np.searchsorted(cumulative, min(target_rank, n), side="left"))
     return QuantileEstimate(q_hat=float(agg.edges[bin_index + 1]), target_rank=int(target_rank),
                             bin_index=bin_index, alpha=float(alpha))
-
-
-def prediction_set(label_scores, q_hat: float) -> np.ndarray:
-    """Labels whose score does not exceed the threshold."""
-    s = np.asarray(label_scores, dtype=float)
-    if s.ndim != 1:
-        raise InputError("label_scores must be a 1-d per-label score vector")
-    return np.flatnonzero(s <= q_hat)
 
 
 @dataclass(frozen=True)

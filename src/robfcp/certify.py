@@ -21,56 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .calibration import AggregateHistogram
 from .detection import _pairwise, as_vector_matrix
 from .errors import InputError
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational-approximation coefficients (central region and tails) for the
-# inverse normal CDF; accurate to ~1e-9 before refinement.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF, accurate in both tails."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def inv_norm_cdf(p: float) -> float:
-    """Inverse standard normal CDF, absolute error below 1e-8.
-
-    A rational approximation supplies the starting point; one Newton step
-    against the forward CDF polishes it to near machine precision.  For
-    p > 1/2 the complementary tail is solved instead (1 - p is exact there),
-    which keeps the Newton residual free of cancellation near 1.
-    """
-    if not 0.0 < p < 1.0:
-        raise InputError(f"inv_norm_cdf requires 0 < p < 1, got {p}")
-    if p > 0.5:
-        return -inv_norm_cdf(1.0 - p)
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    density = math.exp(-0.5 * x * x) / _SQRT_2PI
-    if density > 0.0:
-        x -= (norm_cdf(x) - p) / density
-    return x
 
 
 @dataclass(frozen=True)
@@ -138,9 +93,12 @@ class CoverageCertificate:
 
 
 def _gaussian_radius(params: CertificateParams) -> float:
-    """Simultaneous concentration radius on all bins of all benign clients."""
+    """Simultaneous concentration radius on all bins of all benign clients.
+
+    z is the normal quantile of the tail beta / (2 H k_b), never rounded through 1 - p.
+    """
     h, k_b = params.num_bins, params.num_benign
-    z = inv_norm_cdf(1.0 - params.beta / (2.0 * h * k_b))
+    z = -NormalDist().inv_cdf(params.beta / (2.0 * h * k_b))
     return h * z / (2.0 * math.sqrt(params.min_benign_n))
 
 
@@ -149,19 +107,21 @@ def _dkw_radius(params: CertificateParams) -> float:
     return h * math.sqrt(math.log(2.0 * k_b / params.beta) / (2.0 * params.min_benign_n))
 
 
-def _assemble(params: CertificateParams, radius: float, variant: str,
-              homogeneous: bool) -> CoverageCertificate:
+def _assemble(params: CertificateParams, radius: float, variant: str) -> CoverageCertificate:
+    """The coverage interval around 1 - alpha for a given concentration radius.
+
+    The resolution term (eps * n_b + 1) / (n_b + k_b) rises toward eps with n_b,
+    so for eps * k_b > 1 the lower bound is not monotone in ``min_benign_n``
+    (alpha 0.1, beta 0.05, H=1, eps=1, k_b=100: 0.314 at n_b=50, -0.108 at 10^4).
+    """
     n_b, k_b = params.min_benign_n, params.num_benign
     tau = params.tau
     p_byz = radius * (1.0 + (params.total_malicious_n / n_b) * (2.0 / (1.0 - tau)))
     hetero = params.total_malicious_n * params.sigma / (n_b * (1.0 - tau))
     eps = params.epsilon
     lower = (1.0 - params.alpha) - p_byz - hetero - (eps * n_b + 1.0) / (n_b + k_b)
-    if homogeneous:
-        upper = (1.0 - params.alpha) + p_byz + eps + k_b / (n_b + k_b)
-    else:
-        upper = ((1.0 - params.alpha) + p_byz + hetero
-                 + (eps * n_b + (eps + 1.0) * k_b) / (n_b + k_b))
+    upper = ((1.0 - params.alpha) + p_byz + hetero
+             + (eps * n_b + (eps + 1.0) * k_b) / (n_b + k_b))
     return CoverageCertificate(lower=lower, upper=upper, p_byz=p_byz, variant=variant)
 
 
@@ -169,18 +129,18 @@ def coverage_bounds(params: CertificateParams, homogeneous: bool = False) -> Cov
     """Gaussian-tail coverage interval for the filtered pipeline.
 
     With ``homogeneous=True`` all benign clients are assumed to share one
-    score distribution: sigma must be 0 and the upper bound takes its
-    simplified form (algebraically identical to the general one at sigma=0).
+    score distribution: sigma must be 0, and the interval is the general one
+    at sigma = 0, labelled ``"homogeneous"``.
     """
     if homogeneous and params.sigma != 0.0:
         raise InputError("the homogeneous variant requires sigma = 0")
     variant = "homogeneous" if homogeneous else "normal"
-    return _assemble(params, _gaussian_radius(params), variant, homogeneous)
+    return _assemble(params, _gaussian_radius(params), variant)
 
 
 def coverage_bounds_dkw(params: CertificateParams) -> CoverageCertificate:
     """Same interval with a distribution-free DKW concentration radius."""
-    return _assemble(params, _dkw_radius(params), "dkw", homogeneous=False)
+    return _assemble(params, _dkw_radius(params), "dkw")
 
 
 def overestimate_bounds(params: CertificateParams, k_b_reported: int) -> CoverageCertificate:

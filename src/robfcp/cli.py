@@ -180,9 +180,9 @@ def cmd_certify(args) -> None:
 
 def cmd_estimate(args) -> None:
     reports = read_reports(args.reports)
-    estimate, all_benign = estimate_malicious_count(reports, p=args.p, max_iter=args.max_iter)
+    estimate = estimate_malicious_count(reports, p=args.p, max_iter=args.max_iter)
     payload = {
-        "k_m_hat": 0 if all_benign else estimate.k_m_hat,
+        "k_m_hat": estimate.k_m_hat,
         "objective_trace": [[z, t] for z, t in estimate.objective_trace],
         "iterations": estimate.iterations,
         "converged": estimate.converged,

@@ -18,7 +18,7 @@ assumption that benign clients are the majority).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -111,7 +111,9 @@ class CountEstimate:
     kinds of repeat apart: False for a fixed point (the scan returned the
     count it ranked with), True for a return to an earlier, different count.
     In a cycle ranking and split point never agree, and ``k_b_hat`` is the
-    count the scan returned to.
+    count the scan returned to.  ``all_benign`` is True when the escape hatch
+    of :func:`estimate_malicious_count` fired: ``k_m_hat`` is then 0, while
+    ``k_b_hat`` and the trace stay the scan's.
     """
 
     k_b_hat: int
@@ -120,6 +122,7 @@ class CountEstimate:
     iterations: int
     converged: bool
     cycled: bool
+    all_benign: bool = False
 
 
 def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
@@ -184,14 +187,15 @@ def looks_all_benign(scores) -> bool:
 
 
 def estimate_malicious_count(reports, p=2, k_b_init: int | None = None,
-                             max_iter: int = 10) -> tuple[CountEstimate, bool]:
+                             max_iter: int = 10) -> CountEstimate:
     """Full pipeline: scan for the benign count, then apply the escape hatch.
 
-    Returns the raw scan result plus an ``all_benign`` flag; when the flag is
-    set the caller should treat the malicious count as zero and skip
-    filtering.
+    When the hatch fires the scan's result comes back with ``k_m_hat=0`` and
+    ``all_benign=True``: no client is to be filtered.
     """
     vectors = as_vector_matrix(reports)
     estimate = estimate_benign_count(vectors, p=p, k_b_init=k_b_init, max_iter=max_iter)
     scores = maliciousness_scores(pairwise_distances(vectors, p=p), estimate.k_b_hat)
-    return estimate, looks_all_benign(scores)
+    if looks_all_benign(scores):
+        return replace(estimate, k_m_hat=0, all_benign=True)
+    return estimate

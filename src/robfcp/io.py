@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +109,12 @@ def reports_from_csv(path, score_kind: str = "lac", num_bins: int = 100,
 
 # --- simulation config files ---
 
-_CONFIG_KEYS = ("K", "k_m", "n_per_client", "C", "H", "alpha", "beta", "dirichlet_beta",
-                "signal", "score_kind", "attack", "p_norm", "km_known", "n_test",
-                "trials", "seed", "mode")
-_REQUIRED_KEYS = ("K", "k_m", "n_per_client", "C")
+_CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
+_REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig)
+                       if f.default is MISSING and f.default_factory is MISSING)
+_ATTACK_KEYS = frozenset(f.name for f in fields(AttackSpec))
+#: Per-client tuples that the echo writes as one scalar when every client shares it.
+_PER_CLIENT_KEYS = ("n_per_client", "signal")
 
 
 def _attack_from_value(value) -> AttackSpec:
@@ -120,7 +123,7 @@ def _attack_from_value(value) -> AttackSpec:
     if isinstance(value, str):
         return AttackSpec(kind=value)
     if isinstance(value, dict):
-        extra = set(value) - {"kind", "gaussian_std", "direction_override"}
+        extra = set(value) - _ATTACK_KEYS
         if extra:
             raise ConfigError(f"unknown attack fields: {sorted(extra)}")
         return AttackSpec(**value)
@@ -168,28 +171,12 @@ def parse_config(path) -> SimulationConfig:
 
 def config_echo(config: SimulationConfig) -> dict:
     """Fully resolved config as a JSON-ready dict; re-parsing it reproduces the run."""
-    ns = config.n_per_client
-    sig = config.signal
-    return {
-        "K": config.K,
-        "k_m": config.k_m,
-        "n_per_client": ns[0] if len(set(ns)) == 1 else list(ns),
-        "C": config.C,
-        "H": config.H,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "dirichlet_beta": config.dirichlet_beta,
-        "signal": sig[0] if len(set(sig)) == 1 else list(sig),
-        "score_kind": config.score_kind,
-        "attack": {
-            "kind": config.attack.kind,
-            "gaussian_std": config.attack.gaussian_std,
-            "direction_override": config.attack.direction_override,
-        },
-        "p_norm": config.p_norm,
-        "km_known": config.km_known,
-        "n_test": config.n_test,
-        "trials": config.trials,
-        "seed": config.seed,
-        "mode": config.mode,
-    }
+    echo = {}
+    for name in _CONFIG_KEYS:
+        value = getattr(config, name)
+        if name in _PER_CLIENT_KEYS:
+            value = value[0] if len(set(value)) == 1 else list(value)
+        elif name == "attack":
+            value = asdict(value)
+        echo[name] = value
+    return echo

@@ -8,10 +8,10 @@ vector and a candidate label to a value in [0, 1]:
 * ``aps``: the cumulated probability mass of all labels ranked strictly above
   the candidate, plus a randomized fraction ``u`` of the candidate's own mass.
 
-Scores are computed either one row at a time (:func:`lac_score`,
-:func:`aps_score`) or vectorized over a batch (:func:`lac_scores`,
-:func:`aps_scores`, :func:`label_score_matrix`).  :func:`score_batch` is the
-one place that picks the kernel for a score kind and draws ``u`` for ``aps``.
+Scores are computed over a batch of (N, C) probability rows: true-label
+scores by :func:`lac_scores` and :func:`aps_scores`, every candidate label by
+:func:`label_score_matrix`.  :func:`score_batch` is the one place that picks
+the kernel for a score kind and draws ``u`` for ``aps``.
 
 Tie rule: labels with equal probability are not ranked above each other, so
 each gets only the mass strictly greater than its own.  :func:`aps_scores`
@@ -37,15 +37,10 @@ APS_BLOCK_ROWS = 256
 
 
 def validate_probabilities(probs: np.ndarray) -> np.ndarray:
-    """Validate a (C,) probability vector or (N, C) matrix and return it as float64."""
+    """Validate an (N, C) probability matrix and return it as float64."""
     p = np.asarray(probs, dtype=float)
-    if p.ndim == 1:
-        p = p[None, :]
-        squeeze = True
-    elif p.ndim == 2:
-        squeeze = False
-    else:
-        raise InputError(f"probabilities must be 1- or 2-dimensional, got ndim={p.ndim}")
+    if p.ndim != 2:
+        raise InputError(f"probabilities must be an (N, C) matrix, got ndim={p.ndim}")
     if p.shape[1] < 2:
         raise InputError(f"need at least 2 classes, got {p.shape[1]}")
     if not np.all(np.isfinite(p)):
@@ -55,7 +50,7 @@ def validate_probabilities(probs: np.ndarray) -> np.ndarray:
     sums = p.sum(axis=1)
     if sums.size and np.max(np.abs(sums - 1.0)) > PROB_ATOL:
         raise InputError("probability rows must sum to 1 within 1e-9")
-    return p[0] if squeeze else p
+    return p
 
 
 def _validate_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -67,22 +62,6 @@ def _validate_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes - 1}]")
     return y.astype(int)
-
-
-def lac_score(probs, label: int) -> float:
-    """Score = 1 - probability assigned to ``label``."""
-    p = validate_probabilities(probs)
-    y = _validate_labels(np.array([label]), p.shape[0])[0]
-    return float(1.0 - p[y])
-
-
-def aps_score(probs, label: int, u: float) -> float:
-    """Mass of labels ranked strictly above ``label`` plus ``u`` times its own mass."""
-    p = validate_probabilities(probs)
-    y = _validate_labels(np.array([label]), p.shape[0])[0]
-    if not (0.0 <= u <= 1.0):
-        raise InputError(f"randomization u must lie in [0, 1], got {u}")
-    return float(p[p > p[y]].sum() + p[y] * u)
 
 
 def lac_scores(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -124,7 +103,7 @@ def label_score_matrix(probs: np.ndarray, kind: str = "lac",
     sum adds in rank order, so a score may differ in the last few ulp from a
     sum of the same masses taken in label order.
     """
-    p = validate_probabilities(np.atleast_2d(np.asarray(probs, dtype=float)))
+    p = validate_probabilities(probs)
     if kind == "lac":
         return 1.0 - p
     if kind != "aps":

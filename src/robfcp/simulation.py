@@ -228,8 +228,7 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
     """
     reports = list(reports)
     if k_m is None:
-        estimate, all_benign = estimate_malicious_count(reports, p=p)
-        k_m = 0 if all_benign else estimate.k_m_hat
+        k_m = estimate_malicious_count(reports, p=p).k_m_hat
     if k_m == 0:
         rows = range(len(reports))
     else:
@@ -390,29 +389,11 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
         detection_exact=set(result.selected) == set(config.benign_ids))
 
 
-def thread_cap() -> int | None:
-    """Parallelism cap from ROBFCP_THREADS, or None when unset."""
-    raw = os.environ.get("ROBFCP_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ROBFCP_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"ROBFCP_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the request (default: up to 4 cpus) capped by ROBFCP_THREADS."""
+    """Worker count: the request, or by default up to 4 cpus."""
     if requested is not None and requested < 1:
         raise InputError(f"worker count must be >= 1, got {requested}")
-    workers = requested if requested is not None else min(4, os.cpu_count() or 1)
-    cap = thread_cap()
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
+    return requested if requested is not None else min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from robfcp.calibration import (
     aggregate,
     evaluate,
     federated_quantile,
-    prediction_set,
 )
 from robfcp.errors import InputError
 from robfcp.scores import TestBatch
@@ -62,6 +61,14 @@ class TestAggregate:
         reports = [sketch_scores(i, [0.1, 0.9], edges) for i in range(3)]
         with pytest.raises(InputError):
             aggregate(reports, selected=(0, 7))
+
+    def test_rejects_duplicate_selected_ids(self):
+        edges = uniform_bin_edges(4)
+        reports = [sketch_scores(i, [0.1, 0.9], edges) for i in range(2)]
+        with pytest.raises(InputError, match="duplicate"):
+            aggregate(reports, selected=[0, 0])
+        with pytest.raises(InputError, match="duplicate"):
+            aggregate(reports, selected=np.array([1, 0, 1]))
 
     def test_rejects_empty_selection(self):
         edges = uniform_bin_edges(4)
@@ -176,18 +183,6 @@ class TestSandwichNonUniformEdges:
 
 
 class TestPredictionSets:
-    def test_threshold_inclusion(self):
-        np.testing.assert_array_equal(prediction_set([0.1, 0.5, 0.9], 0.5), [0, 1])
-        np.testing.assert_array_equal(prediction_set([0.1, 0.5, 0.9], 1.0), [0, 1, 2])
-        assert prediction_set([0.3, 0.4], 0.1).size == 0
-
-    def test_sets_grow_with_threshold(self):
-        rng = np.random.default_rng(3)
-        scores = rng.uniform(size=10)
-        small = set(prediction_set(scores, 0.3).tolist())
-        large = set(prediction_set(scores, 0.7).tolist())
-        assert small <= large
-
     def test_evaluate_hand_example(self):
         batch = TestBatch(label_scores=np.array([[0.1, 0.9], [0.8, 0.2], [0.6, 0.7]]),
                           labels=np.array([0, 0, 1]))

@@ -1,4 +1,4 @@
-"""Tests for the normal quantile kernel and the closed-form coverage bounds."""
+"""Tests for the closed-form coverage bounds."""
 
 import math
 
@@ -15,8 +15,6 @@ from robfcp.certify import (
     coverage_bounds_dkw,
     estimator_precision_bound,
     heterogeneity_sigma,
-    inv_norm_cdf,
-    norm_cdf,
     overestimate_bounds,
     sketch_epsilon,
 )
@@ -24,44 +22,39 @@ from robfcp.errors import InputError
 from robfcp.sketch import uniform_bin_edges
 
 
-class TestNormCdf:
-    def test_reference_points(self):
-        assert norm_cdf(0.0) == pytest.approx(0.5)
-        assert norm_cdf(1.96) == pytest.approx(0.9750021048517795, abs=1e-12)
-        assert norm_cdf(-1.0) == pytest.approx(0.15865525393145707, abs=1e-12)
+def _gaussian_radius(p):
+    """Oracle: H z / (2 sqrt(n_b)) with z = -ndtri of the tail beta / (2 H k_b)."""
+    z = -float(ndtri(p.beta / (2 * p.num_bins * p.num_benign)))
+    return p.num_bins * z / (2.0 * math.sqrt(p.min_benign_n))
 
-    def test_symmetry(self):
-        for x in (0.3, 1.0, 2.5, 4.0):
-            assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-15)
+
+def _upper_quantile(tail):
+    """The certificate's normal quantile at 1 - tail, read off the radius at H = k_b = n_b = 1."""
+    p = CertificateParams(alpha=0.1, beta=2.0 * tail, num_bins=1, num_benign=1,
+                          num_malicious=0, min_benign_n=1, total_malicious_n=0)
+    return 2.0 * coverage_bounds(p).p_byz
 
 
 class TestInvNormCdf:
-    def test_reference_points(self):
-        assert inv_norm_cdf(0.5) == 0.0
-        assert inv_norm_cdf(0.975) == pytest.approx(1.95996398, abs=1e-8)
-        assert inv_norm_cdf(0.8413447460685429) == pytest.approx(1.0, abs=1e-6)
+    """The normal quantile behind the Gaussian radius; the radius only uses tails below 1/2."""
 
-    def test_symmetry(self):
-        for p in (0.001, 0.12, 0.3, 0.499):
-            assert inv_norm_cdf(p) == pytest.approx(-inv_norm_cdf(1.0 - p), abs=1e-12)
+    def test_reference_points(self):
+        assert _upper_quantile(0.025) == pytest.approx(1.95996398, abs=1e-8)
+        assert _upper_quantile(1.0 - 0.8413447460685429) == pytest.approx(1.0, abs=1e-6)
 
     def test_dense_grid_against_scipy(self):
-        ps = np.linspace(1e-6, 1.0 - 1e-6, 20001)
-        errs = [abs(inv_norm_cdf(float(p)) - ndtri(p)) for p in ps]
+        tails = np.linspace(1e-6, 0.5 - 1e-6, 20001)
+        errs = [abs(_upper_quantile(float(t)) + ndtri(t)) for t in tails]
         assert max(errs) < 1e-8
 
     def test_extreme_tails(self):
-        for p in (1e-14, 1e-10, 1.0 - 1e-10):
-            assert inv_norm_cdf(float(p)) == pytest.approx(float(ndtri(p)), rel=1e-9)
-
-    def test_round_trip(self):
-        for p in np.linspace(0.001, 0.999, 997):
-            assert norm_cdf(inv_norm_cdf(float(p))) == pytest.approx(p, abs=1e-8)
+        for t in (1e-14, 1e-10, 2.5e-9):
+            assert _upper_quantile(t) == pytest.approx(-float(ndtri(t)), rel=1e-9)
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(InputError):
-                inv_norm_cdf(bad)
+                _params(beta=bad)
 
 
 def _params(**overrides):
@@ -84,19 +77,26 @@ class TestCoverageBounds:
         """With k_m = N_m = sigma = epsilon = 0 the bound is pure concentration."""
         p = _params(num_malicious=0, total_malicious_n=0, epsilon=0.0)
         cert = coverage_bounds(p)
-        radius = (p.num_bins * inv_norm_cdf(1.0 - p.beta / (2 * p.num_bins * p.num_benign))
-                  / (2.0 * math.sqrt(p.min_benign_n)))
-        assert cert.p_byz == pytest.approx(radius, abs=1e-15)
+        radius = _gaussian_radius(p)
+        assert cert.p_byz == pytest.approx(radius, rel=1e-12)
         assert cert.lower == pytest.approx(
             0.9 - radius - 1.0 / (p.min_benign_n + p.num_benign), abs=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(beta=st.floats(1e-12, 1.0, exclude_max=True), h=st.integers(1, 1000),
+           k_b=st.integers(1, 10 ** 4), n_b=st.integers(1, 10 ** 9))
+    def test_radius_matches_ndtri(self, beta, h, k_b, n_b):
+        """The radius's normal quantile, deep into the tail, against scipy's ndtri."""
+        p = CertificateParams(alpha=0.1, beta=beta, num_bins=h, num_benign=k_b,
+                              num_malicious=0, min_benign_n=n_b, total_malicious_n=0)
+        assert coverage_bounds(p).p_byz == pytest.approx(_gaussian_radius(p), rel=1e-12)
 
     def test_homogeneous_matches_general_at_sigma_zero(self):
         p = _params()
         general = coverage_bounds(p)
         homo = coverage_bounds(p, homogeneous=True)
         assert homo.variant == "homogeneous"
-        assert homo.lower == pytest.approx(general.lower, abs=1e-15)
-        assert homo.upper == pytest.approx(general.upper, abs=1e-15)
+        assert (homo.lower, homo.upper, homo.p_byz) == (general.lower, general.upper, general.p_byz)
 
     def test_homogeneous_requires_sigma_zero(self):
         with pytest.raises(InputError):
@@ -175,6 +175,15 @@ class TestLowerBoundMonotone:
         high_km = bounds(CertificateParams(num_malicious=more, **base))
         assert high_km.lower <= low_km.lower
 
+    def test_not_monotone_in_min_benign_n_when_eps_k_b_exceeds_one(self):
+        """With eps * k_b = 100 the resolution term outgrows the shrinking radius."""
+        base = dict(alpha=0.1, beta=0.05, num_bins=1, num_benign=100, num_malicious=0,
+                    total_malicious_n=0, epsilon=1.0)
+        small = coverage_bounds(CertificateParams(min_benign_n=50, **base))
+        large = coverage_bounds(CertificateParams(min_benign_n=10 ** 4, **base))
+        assert small.lower == pytest.approx(0.314, abs=1e-3)
+        assert large.lower == pytest.approx(-0.108, abs=1e-3)
+
 
 class TestDkwBounds:
     def test_radius_closed_form(self):
@@ -201,7 +210,7 @@ class TestOverestimateBounds:
         """K_b=6 reported as 8: penalty = 1 - 0.75 (1 - radius) = 0.25 + 0.75 radius."""
         p = CertificateParams(alpha=0.1, beta=0.05, num_bins=10, num_benign=6,
                               num_malicious=0, min_benign_n=10**6, total_malicious_n=0)
-        radius = (10 * inv_norm_cdf(1.0 - 0.05 / (2 * 10 * 6))) / (2.0 * 1000.0)
+        radius = _gaussian_radius(p)
         cert = overestimate_bounds(p, k_b_reported=8)
         assert cert.variant == "overestimate"
         assert cert.p_byz == pytest.approx(0.25 + 0.75 * radius, abs=1e-12)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from robfcp import count_estimator
-from robfcp.attacks import AttackSpec
 from robfcp.cli import main
 from robfcp.io import read_reports, write_reports
 from robfcp.sketch import ClientReport, sketch_scores, uniform_bin_edges
@@ -211,6 +210,24 @@ class TestEstimate:
         assert code == 0
         payload = json.loads(out)
         assert (payload["iterations"], payload["converged"], payload["cycled"]) == (2, True, True)
+
+    def test_all_benign_reports_zero_with_the_scan_trace(self, capsys, tmp_path):
+        rng = np.random.default_rng(42)
+        edges = uniform_bin_edges(10)
+        reports = [sketch_scores(i, rng.beta(2, 2, size=500), edges) for i in range(8)]
+        path = tmp_path / "benign.jsonl"
+        write_reports(path, reports)
+        scan = count_estimator.estimate_benign_count(reports)
+        assert scan.k_m_hat > 0  # the scan alone always drops someone
+        code, out, _ = run_cli(capsys, "estimate", "--reports", str(path))
+        assert code == 0
+        assert out == json.dumps({
+            "k_m_hat": 0,
+            "objective_trace": [[z, t] for z, t in scan.objective_trace],
+            "iterations": scan.iterations,
+            "converged": scan.converged,
+            "cycled": scan.cycled,
+        }, indent=2) + "\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--reports",

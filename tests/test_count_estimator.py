@@ -1,5 +1,7 @@
 """Tests for the Gaussian split-point estimator of the malicious count."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from scipy.stats import multivariate_normal
 
 from robfcp import count_estimator
 from robfcp.count_estimator import (
-    CountEstimate,
     GaussianModel,
     _log_likelihoods,
     estimate_benign_count,
@@ -300,14 +301,18 @@ class TestEscapeHatch:
         rng = np.random.default_rng(42)
         edges = uniform_bin_edges(10)
         reports = [sketch_scores(i, rng.beta(2, 2, size=500), edges) for i in range(8)]
-        estimate, all_benign = estimate_malicious_count(reports)
-        assert all_benign
+        estimate = estimate_malicious_count(reports)
+        scan = estimate_benign_count(reports)
+        assert estimate.all_benign and estimate.k_m_hat == 0
+        assert scan.k_m_hat > 0 and not scan.all_benign
+        assert estimate == dataclasses.replace(scan, k_m_hat=0, all_benign=True)
 
     def test_outlier_defeats_hatch(self):
         vectors = _cluster_with_outliers(7, 3, seed=6)
-        estimate, all_benign = estimate_malicious_count(vectors)
-        assert not all_benign
+        estimate = estimate_malicious_count(vectors)
+        assert not estimate.all_benign
         assert estimate.k_m_hat == 3
+        assert estimate == estimate_benign_count(vectors)
 
     def test_scores_validation(self):
         with pytest.raises(InputError):

@@ -1,9 +1,13 @@
 """Tests for the report JSONL, score CSV, and config file formats."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robfcp.attacks import AttackSpec
 from robfcp.errors import ConfigError, FormatError
@@ -17,7 +21,7 @@ from robfcp.io import (
     reports_from_csv,
     write_reports,
 )
-from robfcp.sketch import sketch_scores, uniform_bin_edges
+from robfcp.sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 
 class TestReportFiles:
@@ -28,6 +32,27 @@ class TestReportFiles:
         path = tmp_path / "reports.jsonl"
         write_reports(path, reports)
         assert read_reports(path) == reports
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ids=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=12, unique=True),
+           h=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1),
+           concentration=st.sampled_from((0.01, 0.5, 5.0)), uniform=st.booleans())
+    def test_round_trip_generated_reports(self, ids, h, seed, concentration, uniform):
+        """Every id, n, vector entry and edge survives the file bit for bit."""
+        rng = np.random.default_rng(seed)
+        if uniform:
+            edges = uniform_bin_edges(h)
+        else:
+            inner = np.unique(rng.uniform(1e-9, 1.0 - 1e-9, size=h - 1))
+            edges = np.concatenate(([0.0], inner, [1.0]))
+        reports = [ClientReport(client_id=cid, n=int(rng.integers(1, 10 ** 9)),
+                                v=rng.dirichlet(np.full(edges.size - 1, concentration)),
+                                edges=edges)
+                   for cid in ids]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "reports.jsonl"
+            write_reports(path, reports)
+            assert read_reports(path) == reports
 
     def test_error_points_at_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

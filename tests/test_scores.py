@@ -9,9 +9,7 @@ from robfcp.errors import InputError
 from robfcp.scores import (
     APS_BLOCK_ROWS,
     TestBatch,
-    aps_score,
     aps_scores,
-    lac_score,
     lac_scores,
     label_score_matrix,
     score_batch,
@@ -19,11 +17,20 @@ from robfcp.scores import (
 )
 
 
+def lac_score(probs, label):
+    """Oracle for one row: one minus the probability of ``label``."""
+    return float(1.0 - np.asarray(probs, dtype=float)[label])
+
+
+def aps_score(probs, label, u):
+    """Oracle for one row: mass of the labels strictly above ``label`` plus ``u`` of its own."""
+    p = np.asarray(probs, dtype=float)
+    return float(p[p > p[label]].sum() + p[label] * u)
+
+
 class TestLac:
     def test_hand_values(self):
-        assert lac_score([0.7, 0.2, 0.1], 0) == pytest.approx(0.3)
-        assert lac_score([0.7, 0.2, 0.1], 1) == pytest.approx(0.8)
-        assert lac_score([0.7, 0.2, 0.1], 2) == pytest.approx(0.9)
+        np.testing.assert_allclose(lac_scores([[0.7, 0.2, 0.1]] * 3, [0, 1, 2]), [0.3, 0.8, 0.9])
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(42)
@@ -45,26 +52,22 @@ class TestAps:
     """APS: mass strictly above the candidate plus u times its own mass."""
 
     def test_hand_values(self):
-        p = [0.5, 0.3, 0.2]
-        assert aps_score(p, 0, 0.0) == pytest.approx(0.0)
-        assert aps_score(p, 0, 1.0) == pytest.approx(0.5)
-        assert aps_score(p, 1, 0.5) == pytest.approx(0.5 + 0.15)
-        assert aps_score(p, 2, 0.0) == pytest.approx(0.8)
-        assert aps_score(p, 2, 1.0) == pytest.approx(1.0)
+        p = [[0.5, 0.3, 0.2]] * 5
+        np.testing.assert_allclose(aps_scores(p, [0, 0, 1, 2, 2], [0.0, 1.0, 0.5, 0.0, 1.0]),
+                                   [0.0, 0.5, 0.5 + 0.15, 0.8, 1.0])
 
     def test_ties_share_no_mass(self):
         # equal probabilities are not "strictly above" each other
-        p = [0.4, 0.4, 0.2]
-        assert aps_score(p, 0, 0.0) == pytest.approx(0.0)
-        assert aps_score(p, 1, 0.0) == pytest.approx(0.0)
+        p = [[0.4, 0.4, 0.2]] * 2
+        np.testing.assert_allclose(aps_scores(p, [0, 1], [0.0, 0.0]), [0.0, 0.0])
 
     def test_u_zero_vs_one_spans_own_mass(self):
         rng = np.random.default_rng(3)
-        p = rng.dirichlet(np.ones(5))
-        for y in range(5):
-            lo = aps_score(p, y, 0.0)
-            hi = aps_score(p, y, 1.0)
-            assert hi - lo == pytest.approx(p[y])
+        p = np.tile(rng.dirichlet(np.ones(5)), (5, 1))
+        labels = np.arange(5)
+        lo = aps_scores(p, labels, np.zeros(5))
+        hi = aps_scores(p, labels, np.ones(5))
+        np.testing.assert_allclose(hi - lo, p[0])
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -77,36 +80,41 @@ class TestAps:
 
     def test_u_out_of_range(self):
         with pytest.raises(InputError):
-            aps_score([0.5, 0.5], 0, 1.5)
+            aps_scores([[0.5, 0.5]], [0], [1.5])
         with pytest.raises(InputError):
-            aps_score([0.5, 0.5], 0, -0.1)
+            aps_scores([[0.5, 0.5]], [0], [-0.1])
 
 
 class TestValidation:
     def test_rejects_bad_sums(self):
         with pytest.raises(InputError):
-            validate_probabilities([0.5, 0.6])
+            validate_probabilities([[0.5, 0.6]])
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
-            validate_probabilities([-0.1, 1.1])
+            validate_probabilities([[-0.1, 1.1]])
 
     def test_rejects_single_class(self):
         with pytest.raises(InputError):
-            validate_probabilities([1.0])
+            validate_probabilities([[1.0]])
 
     def test_rejects_nan(self):
         with pytest.raises(InputError):
-            validate_probabilities([np.nan, 1.0])
+            validate_probabilities([[np.nan, 1.0]])
 
     def test_accepts_tolerance(self):
-        validate_probabilities([0.5, 0.5 + 5e-10])
+        validate_probabilities([[0.5, 0.5 + 5e-10]])
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(InputError, match="matrix"):
+            validate_probabilities(np.full(shape, 0.5))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(InputError):
-            lac_score([0.5, 0.5], 2)
+            lac_scores([[0.5, 0.5]], [2])
         with pytest.raises(InputError):
-            lac_score([0.5, 0.5], -1)
+            lac_scores([[0.5, 0.5]], [-1])
 
 
 class TestBatchScores:

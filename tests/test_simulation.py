@@ -1,5 +1,7 @@
 """Tests for the seeded federated simulation harness."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +23,6 @@ from robfcp.simulation import (
     robust_calibrate,
     run_trial,
     summarize,
-    thread_cap,
 )
 from robfcp.sketch import ClientReport, uniform_bin_edges
 
@@ -314,8 +315,7 @@ class TestRobustCalibrate:
         if k_m > 0:
             expected = rank_reports(reports, k - k_m).benign_set
             assert robust_calibrate(reports, 0.2, k_m).selected == expected
-        estimate, all_benign = estimate_malicious_count(reports)
-        k_m_hat = 0 if all_benign else estimate.k_m_hat
+        k_m_hat = estimate_malicious_count(reports).k_m_hat
         expected = tuple(range(k)) if k_m_hat == 0 else rank_reports(reports, k - k_m_hat).benign_set
         result = robust_calibrate(reports, 0.2)
         assert (result.selected, result.k_m_hat) == (expected, k_m_hat)
@@ -347,24 +347,12 @@ class TestMonteCarlo:
 
 
 class TestWorkerResolution:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("ROBFCP_THREADS", "2")
-        assert thread_cap() == 2
-        assert resolve_workers(8) == 2
-
-    def test_unset_env(self, monkeypatch):
-        monkeypatch.delenv("ROBFCP_THREADS", raising=False)
-        assert thread_cap() is None
+    def test_unset_env(self):
+        """No environment setting: a request is used as given, the default caps at 4 cpus."""
         assert resolve_workers(3) == 3
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("ROBFCP_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_cap()
-        monkeypatch.setenv("ROBFCP_THREADS", "0")
-        with pytest.raises(ConfigError):
-            thread_cap()
+        assert resolve_workers(None) == min(4, os.cpu_count() or 1)
 
     def test_request_validation(self):
+        assert resolve_workers(None) >= 1
         with pytest.raises(InputError):
             resolve_workers(0)

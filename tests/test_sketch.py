@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robfcp.errors import FormatError, InputError
 from robfcp.sketch import (
@@ -134,6 +136,72 @@ class TestReconstructCounts:
             counts = reconstruct_counts(r)
             assert counts.sum() == n
             assert counts.min() >= 0
+
+
+SWEEP = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def report_vectors(draw):
+    """(n, v) of a valid report, honest-looking or not.
+
+    Kinds: a Dirichlet vector (v * n fractional almost everywhere), a forged
+    point mass, masses k / m on a grid m that need not divide n, and a
+    Dirichlet vector whose sum is off 1 by up to the 1e-9 the report allows.
+    """
+    h = draw(st.integers(1, 120))
+    n = draw(st.integers(1, 10 ** 6))
+    kind = draw(st.sampled_from(("dirichlet", "point_mass", "grid", "off_sum")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "point_mass":
+        v = np.zeros(h)
+        v[rng.integers(h)] = 1.0
+    elif kind == "grid":
+        m = int(rng.integers(1, 1000))
+        cells = rng.multinomial(m, np.full(h, 1.0 / h))
+        v = cells / m
+    else:
+        v = rng.dirichlet(np.full(h, draw(st.sampled_from((0.05, 0.5, 5.0)))))
+        if kind == "off_sum":
+            v = v * (1.0 + draw(st.floats(-9e-10, 9e-10)))
+    return n, v
+
+
+@st.composite
+def score_sets(draw):
+    """Scores on [0, 1] over strictly increasing edges, some exactly on an edge."""
+    h = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        edges = uniform_bin_edges(h)
+    else:
+        inner = np.unique(rng.uniform(size=h - 1))
+        edges = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < 1.0)], [1.0]))
+    n = draw(st.integers(1, 2000))
+    scores = rng.beta(draw(st.sampled_from((0.3, 1.0, 4.0))), 2.0, size=n)
+    on_edge = rng.uniform(size=n) < draw(st.sampled_from((0.0, 0.2, 1.0)))
+    scores[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+    return scores, edges
+
+
+class TestReconstructCountsProperties:
+    @SWEEP
+    @given(nv=report_vectors())
+    def test_non_negative_and_sums_to_n(self, nv):
+        n, v = nv
+        counts = reconstruct_counts(ClientReport(client_id=0, n=n, v=v,
+                                                 edges=uniform_bin_edges(v.size)))
+        assert counts.dtype == np.int64
+        assert counts.min() >= 0
+        assert int(counts.sum()) == n
+
+    @SWEEP
+    @given(data=score_sets())
+    def test_honest_sketch_gives_histogram_counts(self, data):
+        scores, edges = data
+        expected, _ = np.histogram(scores, bins=edges)
+        np.testing.assert_array_equal(reconstruct_counts(sketch_scores(3, scores, edges)),
+                                      expected)
 
 
 class TestWireFormat:
