@@ -14,8 +14,8 @@ from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
 from .count_estimator import (CountEstimate, GaussianModel, estimate_benign_count,
                               estimate_malicious_count, gaussian_fit, looks_all_benign,
                               objective_T)
-from .detection import (DistanceMatrix, MaliciousnessRanking, maliciousness_scores,
-                        pairwise_distances, rank_reports, select_benign)
+from .detection import (MaliciousnessRanking, maliciousness_scores, pairwise_distances,
+                        rank_reports, select_benign)
 from .errors import ConfigError, FormatError, InputError, RobfcpError
 from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
 from .scores import TestBatch, label_score_matrix, score_batch
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateHistogram", "AttackSpec", "CalibrationResult", "CertificateParams",
     "ClientProfile", "ClientReport", "ConfigError", "CountEstimate", "CoverageCertificate",
-    "DistanceMatrix", "EvalMetrics", "FormatError", "GaussianModel", "InputError",
-    "MaliciousnessRanking", "MonteCarloResult", "QuantileEstimate", "RobfcpError",
+    "EvalMetrics", "FormatError", "GaussianModel", "InputError", "MaliciousnessRanking",
+    "MonteCarloResult", "QuantileEstimate", "RobfcpError",
     "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack", "config_echo",
     "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture", "estimate_benign_count",
     "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",

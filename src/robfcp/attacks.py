@@ -13,9 +13,9 @@ Four forgeries are implemented, named by the failure they induce:
 * ``mimic``     — an exact copy of a uniformly chosen benign report's vector,
   indistinguishable by any report-space screen.
 
-``direction_override`` pins the point-mass bin explicitly (``mass_low`` /
-``mass_high``) for ablations where the direction, not the named effect, is
-what matters.
+``direction_override`` pins the point-mass bin (``mass_low`` / ``mass_high``)
+of ``coverage`` and ``efficiency``, the two point-mass forgeries, for
+ablations where the direction, not the named effect, is what matters.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ class AttackSpec:
             raise InputError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
         if not self.gaussian_std > 0.0:
             raise InputError(f"gaussian_std must be positive, got {self.gaussian_std}")
-        if self.direction_override is not None and self.direction_override not in DIRECTION_OVERRIDES:
+        if self.direction_override not in (None, *DIRECTION_OVERRIDES):
             raise InputError(
                 f"direction_override must be one of {DIRECTION_OVERRIDES}, got {self.direction_override!r}")
+        if self.direction_override and self.kind not in ("coverage", "efficiency"):
+            raise InputError(f"direction_override has no effect on a {self.kind!r} attack")
 
 
 def _point_mass(num_bins: int, bin_index: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .calibration import AggregateHistogram
-from .detection import _pairwise, as_vector_matrix
+from .detection import as_vector_matrix, pairwise_distances
 from .errors import InputError
 
 
@@ -194,7 +194,7 @@ def heterogeneity_sigma(expected_vectors) -> float:
     x = as_vector_matrix(expected_vectors)
     if x.shape[0] == 1:
         return 0.0
-    return float(_pairwise(x, 1).max())
+    return float(pairwise_distances(x, 1).max())
 
 
 def sketch_epsilon(agg: AggregateHistogram) -> float:

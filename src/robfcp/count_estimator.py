@@ -125,11 +125,10 @@ class CountEstimate:
     all_benign: bool = False
 
 
-def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
-                          max_iter: int = 10) -> CountEstimate:
+def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     """Alternate ranking and split-point search until the benign count repeats.
 
-    The scan range is [floor(K/2) + 1, K - 1]; the default starting point is
+    The scan range is [floor(K/2) + 1, K - 1], and the first ranking assumes
     its lower end (a strict majority).  Ties in the argmax go to the smallest
     z.  Requires K >= 4 so the range is non-trivial.  The vectors' finiteness
     is checked once here, so no fit meets a NaN.
@@ -138,16 +137,12 @@ def estimate_benign_count(reports, p=2, k_b_init: int | None = None,
     k = vectors.shape[0]
     if k < 4:
         raise InputError(f"count estimation requires at least 4 clients, got {k}")
-    floor = k // 2 + 1
-    if k_b_init is None:
-        k_b_init = floor
-    if not floor <= k_b_init <= k:
-        raise InputError(f"k_b_init must lie in [{floor}, {k}], got {k_b_init}")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
 
+    floor = k // 2 + 1
     distances = pairwise_distances(vectors, p=p)
-    k_tilde = int(k_b_init)
+    k_tilde = floor
     seen = {k_tilde}
     trace: list[tuple[int, float]] = []
     iterations = 0
@@ -186,15 +181,14 @@ def looks_all_benign(scores) -> bool:
     return bool(s.max() <= 2.0 * float(np.median(s)))
 
 
-def estimate_malicious_count(reports, p=2, k_b_init: int | None = None,
-                             max_iter: int = 10) -> CountEstimate:
+def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     """Full pipeline: scan for the benign count, then apply the escape hatch.
 
     When the hatch fires the scan's result comes back with ``k_m_hat=0`` and
     ``all_benign=True``: no client is to be filtered.
     """
     vectors = as_vector_matrix(reports)
-    estimate = estimate_benign_count(vectors, p=p, k_b_init=k_b_init, max_iter=max_iter)
+    estimate = estimate_benign_count(vectors, p=p, max_iter=max_iter)
     scores = maliciousness_scores(pairwise_distances(vectors, p=p), estimate.k_b_hat)
     if looks_all_benign(scores):
         return replace(estimate, k_m_hat=0, all_benign=True)

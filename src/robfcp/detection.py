@@ -49,15 +49,20 @@ def as_vector_matrix(reports) -> np.ndarray:
     return x
 
 
-def _pairwise(vectors: np.ndarray, p: int) -> np.ndarray:
-    """Distance matrix swept one row of the upper triangle at a time.
+def pairwise_distances(reports, p=2) -> np.ndarray:
+    """Symmetric (K, K) l_p distances between all report vectors, for integer p >= 1.
 
-    Memory is O(K*H) rather than a (K, K, H) difference tensor.  Each pair is
-    reduced over H exactly as the broadcast formula ``(|v_i - v_j|**p).sum()
-    ** (1/p)`` would reduce it, so the values are bit-identical to it, and
-    the lower triangle is the mirror of the upper one.
+    Rows of the upper triangle are swept one at a time: O(K*H) memory, no
+    (K, K, H) difference tensor.  Each pair reduces over H exactly as the
+    broadcast formula ``(|v_i - v_j|**p).sum() ** (1/p)`` does, so values are
+    bit-identical to it; the lower triangle mirrors the upper one.
     """
-    k = vectors.shape[0]
+    if not isinstance(p, (int, np.integer)) or p < 1:
+        raise InputError(f"norm order must be an integer >= 1, got {p!r}")
+    vectors = as_vector_matrix(reports)
+    k, p = vectors.shape[0], int(p)
+    if k < 2:
+        raise InputError("need at least 2 reports for pairwise distances")
     d = np.zeros((k, k))
     for i in range(k - 1):
         row = vectors[i + 1:] - vectors[i]
@@ -69,27 +74,8 @@ def _pairwise(vectors: np.ndarray, p: int) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """Symmetric pairwise distances between client vectors, zero diagonal."""
-
-    d: np.ndarray
-    p: int
-
-
-def pairwise_distances(reports, p=2) -> DistanceMatrix:
-    """Pairwise l_p distances between all report vectors, for integer p >= 1."""
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise InputError(f"norm order must be an integer >= 1, got {p!r}")
-    vectors = as_vector_matrix(reports)
-    if vectors.shape[0] < 2:
-        raise InputError("need at least 2 reports for pairwise distances")
-    return DistanceMatrix(d=_pairwise(vectors, int(p)), p=int(p))
-
-
-def maliciousness_scores(distances: DistanceMatrix, k_b: int) -> np.ndarray:
-    """Average distance to each client's k_b - 1 nearest other reports."""
-    d = distances.d
+def maliciousness_scores(d: np.ndarray, k_b: int) -> np.ndarray:
+    """Average distance to each client's k_b - 1 nearest others in the distance matrix ``d``."""
     k = d.shape[0]
     if not 2 <= k_b <= k:
         raise InputError(f"k_b must lie in [2, {k}], got {k_b}")

@@ -43,9 +43,10 @@ def validate_probabilities(probs: np.ndarray) -> np.ndarray:
         raise InputError(f"probabilities must be an (N, C) matrix, got ndim={p.ndim}")
     if p.shape[1] < 2:
         raise InputError(f"need at least 2 classes, got {p.shape[1]}")
-    if not np.all(np.isfinite(p)):
-        raise InputError("probabilities must be finite")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    # One pass: NaN fails both comparisons and an infinity one of them.
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        if not np.isfinite(p).all():
+            raise InputError("probabilities must be finite")
         raise InputError("probabilities must lie in [0, 1]")
     sums = p.sum(axis=1)
     if sums.size and np.max(np.abs(sums - 1.0)) > PROB_ATOL:

@@ -5,12 +5,12 @@ and runs the server pipeline, :func:`robust_calibrate` (shared with the
 ``calibrate`` CLI): screen, estimate k_m if unknown, and calibrate twice
 (naive: every report; robust: the kept clients).  It then evaluates both
 thresholds and certifies the robust one.  The two modes differ only in how
-honest reports, expected vectors and coverage are produced: ``sample`` draws
-rows from a synthetic classifier and tests on a fresh batch, while
+honest reports, the certificate's sigma and coverage are produced: ``sample``
+draws rows from a synthetic classifier and tests on a fresh batch, while
 ``histogram_direct`` draws bin counts from a known law, so coverage is exact.
-Every random draw comes from a generator keyed by (seed xor trial_index,
-role, client), so results are identical regardless of thread count or
-execution order.
+Every random draw comes from a generator keyed by (seed, trial_index, role,
+client) as a ``SeedSequence`` spawn key, so no two (seed, trial) pairs share a
+stream and results do not depend on thread count or execution order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,17 +40,16 @@ _ROLE_ATTACK = 2
 _ROLE_TEST = 3
 _ROLE_SIGMA = 4
 
-# Reference sample size per client for the Monte-Carlo estimate of expected
-# characterization vectors (used only for the sigma plugged into sample-mode
-# certificates; the synthetic score law has no closed-form bin masses).
+# Rows per reference vector, drawn once per signal when the kept clients'
+# signals differ: the synthetic score law has no closed-form bin masses.
 _SIGMA_REFERENCE_N = 4096
 
 _MAX_SEED = 2 ** 64
 
 
-def _rng(trial_seed: int, role: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=trial_seed,
-                                                        spawn_key=(role, index)))
+def _rng(seed: int, trial_index: int, role: int, index: int = 0) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=(trial_index, role, index)))
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,9 @@ class TrialReport:
     detection_exact: bool
 
 
-def _certificate(config: SimulationConfig, selected, reports_by_id,
-                 expected_vectors_by_id) -> CoverageCertificate:
+def _certificate(mode, selected, reports_by_id) -> CoverageCertificate:
     """Certificate with the generator's ground truth plugged in."""
+    config = mode.config
     benign_ids = set(config.benign_ids)
     benign_sel = [i for i in selected if i in benign_ids]
     malicious_sel = [i for i in selected if i not in benign_ids]
@@ -267,31 +267,49 @@ def _certificate(config: SimulationConfig, selected, reports_by_id,
         num_benign=len(selected), num_malicious=len(malicious_sel),
         min_benign_n=min(reports_by_id[i].n for i in benign_sel),
         total_malicious_n=sum(reports_by_id[i].n for i in malicious_sel),
-        sigma=heterogeneity_sigma([expected_vectors_by_id[i] for i in benign_sel]),
+        # sigma only scales the forged mass that survived, so skip it when none did.
+        sigma=mode.sigma(benign_sel) if malicious_sel else 0.0,
         epsilon=sketch_epsilon(benign_agg))
     return coverage_bounds(params)
 
 
 class _SampleMode:
-    """Clients draw rows from the synthetic classifier and sketch their scores."""
+    """Clients draw rows from the synthetic classifier and sketch their scores.
 
-    def __init__(self, config: SimulationConfig, trial_seed: int, edges: np.ndarray):
-        self.config, self.trial_seed, self.edges = config, trial_seed, edges
+    The logits are iid N(0, 1) plus ``signal`` on the true label, and the
+    mixture only picks which label is true: a client's score law, and so its
+    expected characterization vector, depends on its signal alone.
+    """
+
+    def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
+        self.config, self.rng, self.edges = config, rng, edges
         mixtures = dirichlet_mixture(config.C, config.K, config.dirichlet_beta,
-                                     _rng(trial_seed, _ROLE_MIXTURE))
+                                     rng(_ROLE_MIXTURE))
         self.profiles = [ClientProfile(i, mixtures[i], config.signal[i], config.n_per_client[i])
                          for i in range(config.K)]
 
     def scores(self, i: int) -> np.ndarray:
         return generate_client_data(self.profiles[i], self.config.C, self.config.score_kind,
-                                    _rng(self.trial_seed, _ROLE_DATA, i))
+                                    self.rng(_ROLE_DATA, i))
 
     def honest_report(self, i: int) -> ClientReport:
         return sketch_scores(i, self.scores(i), self.edges)
 
-    def expected_vector(self, i: int) -> np.ndarray:
-        """Monte-Carlo estimate of client i's bin masses, for the certificate's sigma."""
-        rng = _rng(self.trial_seed, _ROLE_SIGMA, i)
+    def sigma(self, benign_ids) -> float:
+        """Largest l1 gap between the expected vectors of ``benign_ids``.
+
+        0.0, with nothing drawn, when they share a signal; otherwise taken over
+        one reference vector per signal, keyed by the first client with it.
+        """
+        signal = self.config.signal
+        kept = sorted({signal[i] for i in benign_ids})
+        if len(kept) == 1:
+            return 0.0
+        return heterogeneity_sigma([self.reference_vector(signal.index(s)) for s in kept])
+
+    def reference_vector(self, i: int) -> np.ndarray:
+        """Monte-Carlo estimate of the bin masses of client i's score law."""
+        rng = self.rng(_ROLE_SIGMA, i)
         profile = self.profiles[i]
         probs, labels = _draw_rows(profile.mixture, profile.signal, _SIGMA_REFERENCE_N, rng)
         counts, _ = np.histogram(score_batch(probs, labels, self.config.score_kind, rng),
@@ -303,12 +321,12 @@ class _SampleMode:
         config = self.config
         weights = np.array([self.profiles[i].n + 1.0 for i in config.benign_ids])
         weights /= weights.sum()
-        per_client = _rng(self.trial_seed, _ROLE_TEST, config.K).multinomial(config.n_test, weights)
+        per_client = self.rng(_ROLE_TEST, config.K).multinomial(config.n_test, weights)
         score_rows, label_rows = [], []
         for i, count in zip(config.benign_ids, per_client):
             if count == 0:
                 continue
-            gen = _rng(self.trial_seed, _ROLE_TEST, i)
+            gen = self.rng(_ROLE_TEST, i)
             probs, labels = _draw_rows(self.profiles[i].mixture, self.profiles[i].signal,
                                        int(count), gen)
             score_rows.append(score_batch(probs, labels, config.score_kind, gen, per_label=True))
@@ -327,25 +345,25 @@ class _DirectMode:
     sigma = 0 exactly.
     """
 
-    def __init__(self, config: SimulationConfig, trial_seed: int, edges: np.ndarray):
-        self.config, self.trial_seed, self.edges = config, trial_seed, edges
+    def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
+        self.config, self.rng, self.edges = config, rng, edges
         self.true_v = np.full(config.H, 1.0 / config.H)
 
     def scores(self, i: int) -> np.ndarray:
         """Raw scores from the piecewise-uniform law implied by (edges, true_v)."""
         n = self.config.n_per_client[i]
-        rng = _rng(self.trial_seed, _ROLE_DATA, i)
+        rng = self.rng(_ROLE_DATA, i)
         bins = rng.choice(self.true_v.size, size=n, p=self.true_v)
         widths = np.diff(self.edges)
         return self.edges[bins] + rng.uniform(size=n) * widths[bins]
 
     def honest_report(self, i: int) -> ClientReport:
         n = self.config.n_per_client[i]
-        counts = _rng(self.trial_seed, _ROLE_DATA, i).multinomial(n, self.true_v)
+        counts = self.rng(_ROLE_DATA, i).multinomial(n, self.true_v)
         return ClientReport(client_id=i, n=n, v=counts / n, edges=self.edges)
 
-    def expected_vector(self, i: int) -> np.ndarray:
-        return self.true_v
+    def sigma(self, benign_ids) -> float:
+        return 0.0
 
     def evaluate(self, quantiles) -> list[EvalMetrics]:
         """Exact coverage: thresholds are bin upper edges and the law has no atoms.
@@ -361,10 +379,10 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
     """Run one seeded trial end to end."""
     if trial_index < 0:
         raise InputError(f"trial_index must be >= 0, got {trial_index}")
-    trial_seed = config.seed ^ trial_index
+    rng = partial(_rng, config.seed, trial_index)
     edges = uniform_bin_edges(config.H)
     mode_cls = _DirectMode if config.mode == "histogram_direct" else _SampleMode
-    mode = mode_cls(config, trial_seed, edges)
+    mode = mode_cls(config, rng, edges)
 
     benign_reports = [mode.honest_report(i) for i in config.benign_ids]
     reports = list(benign_reports)
@@ -372,15 +390,13 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
         # Only these attacks forge from the client's own raw scores.
         own = mode.scores(i) if config.attack.kind in ("gaussian", "none") else None
         reports.append(apply_attack(config.attack, i, config.n_per_client[i], edges,
-                                    _rng(trial_seed, _ROLE_ATTACK, i),
+                                    rng(_ROLE_ATTACK, i),
                                     benign_scores=own, benign_reports=benign_reports))
 
     result = robust_calibrate(reports, config.alpha,
                               config.k_m if config.km_known else None, config.p_norm)
     naive, robust = mode.evaluate((result.naive, result.robust))
-    expected = {i: mode.expected_vector(i) for i in config.benign_ids}
-    certificate = _certificate(config, result.selected, {r.client_id: r for r in reports},
-                               expected)
+    certificate = _certificate(mode, result.selected, {r.client_id: r for r in reports})
 
     return TrialReport(
         trial_index=int(trial_index), naive=naive, robust=robust,

@@ -34,6 +34,11 @@ class TestAttackSpec:
         with pytest.raises(InputError):
             AttackSpec(kind="coverage", direction_override="sideways")
 
+    @pytest.mark.parametrize("kind", ["none", "gaussian", "mimic"])
+    def test_rejects_override_it_would_ignore(self, kind):
+        with pytest.raises(InputError, match="direction_override"):
+            AttackSpec(kind=kind, direction_override="mass_low")
+
 
 class TestPointMassAttacks:
     def test_coverage_mass_in_lowest_bin(self):

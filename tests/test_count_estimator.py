@@ -227,13 +227,6 @@ class TestEstimateBenignCount:
         with pytest.raises(InputError):
             estimate_benign_count(_cluster_with_outliers(2, 1, seed=0))
 
-    def test_k_b_init_bounds(self):
-        vectors = _cluster_with_outliers(6, 2, seed=3)
-        with pytest.raises(InputError):
-            estimate_benign_count(vectors, k_b_init=3)  # below strict majority
-        with pytest.raises(InputError):
-            estimate_benign_count(vectors, k_b_init=9)
-
     def test_converged_when_count_repeats(self):
         vectors = _cluster_with_outliers(7, 3, seed=5)
         est = estimate_benign_count(vectors)

@@ -50,23 +50,23 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(42)
         vecs = rng.dirichlet(np.ones(6), size=5)
         for p in (1, 2, 3):
-            d = _dist(vecs, p=p).d
+            d = _dist(vecs, p=p)
             np.testing.assert_allclose(d, d.T)
             np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-12)
 
     def test_l1_hand_values(self):
-        d = _dist([[1.0, 0.0], [0.0, 1.0]], p=1).d
+        d = _dist([[1.0, 0.0], [0.0, 1.0]], p=1)
         assert d[0, 1] == pytest.approx(2.0)
 
     def test_l2_hand_values(self):
-        d = _dist([[1.0, 0.0], [0.0, 1.0]], p=2).d
+        d = _dist([[1.0, 0.0], [0.0, 1.0]], p=2)
         assert d[0, 1] == pytest.approx(math.sqrt(2.0))
 
     def test_accepts_reports(self):
         edges = uniform_bin_edges(4)
         reports = [sketch_scores(i, [0.1 * (i + 1)], edges) for i in range(3)]
         d = pairwise_distances(reports, p=1)
-        assert d.d.shape == (3, 3)
+        assert d.shape == (3, 3)
 
     def test_rejects_single_client(self):
         with pytest.raises(InputError):
@@ -99,7 +99,7 @@ class TestRowSweepMatchesBroadcast:
     @SWEEP
     @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3)))
     def test_bit_identical(self, vectors, p):
-        d = pairwise_distances(vectors, p=p).d
+        d = pairwise_distances(vectors, p=p)
         assert np.array_equal(d, _broadcast_pairwise(vectors, p))
         assert np.array_equal(d, d.T)
         assert not np.diag(d).any()
@@ -141,7 +141,7 @@ class TestMaliciousnessScores:
             # an extreme corner vector is at least as far from every simplex point
             pushed = vecs.copy()
             pushed[target] = np.eye(5)[0] if vecs[target, 0] < 0.5 else np.eye(5)[1]
-            d0, d1 = _dist(vecs, p=1).d, _dist(pushed, p=1).d
+            d0, d1 = _dist(vecs, p=1), _dist(pushed, p=1)
             if np.all(d1[target] >= d0[target] - 1e-12):
                 after = maliciousness_scores(_dist(pushed, p=1), k_b)
                 assert after[target] >= before[target] - 1e-12

@@ -102,6 +102,13 @@ class TestValidation:
         with pytest.raises(InputError):
             validate_probabilities([[np.nan, 1.0]])
 
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                              (-np.inf, "finite"), (-0.1, r"\[0, 1\]"),
+                                              (1.1, r"\[0, 1\]")])
+    def test_names_the_failed_check(self, bad, message):
+        with pytest.raises(InputError, match=message):
+            validate_probabilities([[0.5, 0.5], [bad, 0.5]])
+
     def test_accepts_tolerance(self):
         validate_probabilities([[0.5, 0.5 + 5e-10]])
 

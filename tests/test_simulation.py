@@ -1,14 +1,18 @@
 """Tests for the seeded federated simulation harness."""
 
 import os
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from robfcp import simulation
 from robfcp.attacks import AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
+from robfcp.certify import coverage_bounds, heterogeneity_sigma
 from robfcp.count_estimator import estimate_malicious_count
 from robfcp.detection import maliciousness_scores, pairwise_distances, rank_reports
 from robfcp.errors import ConfigError, InputError
@@ -195,6 +199,57 @@ class TestRunTrial:
     def test_rejects_negative_trial_index(self):
         with pytest.raises(InputError):
             run_trial(_config(), -1)
+
+    @pytest.mark.parametrize("seed, trial", [(0, 1), (6, 3), (42, 5)])
+    def test_trial_is_not_another_seeds_trial(self, seed, trial):
+        """Seed s, trial t and seed s xor t, trial 0 draw from different streams."""
+        cfg = _config(K=8, k_m=3, attack=AttackSpec("coverage"), seed=seed)
+        a = run_trial(cfg, trial)
+        b = run_trial(replace(cfg, seed=seed ^ trial), 0)
+        assert (a.q_naive, a.naive, a.certificate) != (b.q_naive, b.naive, b.certificate)
+
+
+class TestCertificateSigma:
+    """sigma follows the client laws: clients that share a signal share their law."""
+
+    MIMIC = dict(K=8, k_m=3, attack=AttackSpec("mimic"))
+
+    @staticmethod
+    def _certified(monkeypatch, cfg):
+        """The trial, and the parameters its certificate was computed from."""
+        seen = []
+
+        def spy(params):
+            seen.append(params)
+            return coverage_bounds(params)
+
+        monkeypatch.setattr(simulation, "coverage_bounds", spy)
+        trial = run_trial(cfg, 0)
+        assert seen[-1].num_malicious > 0  # a mimic copy survived screening
+        return trial, seen[-1]
+
+    def test_shared_signal_certificate_is_the_sigma_zero_bound(self, monkeypatch):
+        trial, params = self._certified(monkeypatch, _config(**self.MIMIC))
+        assert trial.certificate == coverage_bounds(replace(params, sigma=0.0))
+
+    def test_shared_signal_draws_no_reference(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError("a reference vector was drawn")
+
+        monkeypatch.setattr(simulation._SampleMode, "reference_vector", refuse)
+        _, params = self._certified(monkeypatch, _config(**self.MIMIC))
+        assert params.sigma == 0.0
+
+    def test_two_signals_sigma_is_the_gap_between_their_references(self, monkeypatch):
+        cfg = _config(K=8, k_m=1, attack=AttackSpec("mimic"),
+                      signal=[1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0])
+        trial, params = self._certified(monkeypatch, cfg)
+        assert {cfg.signal[i] for i in trial.benign_set if i in cfg.benign_ids} == {1.0, 3.0}
+        mode = simulation._SampleMode(cfg, partial(simulation._rng, cfg.seed, 0),
+                                      uniform_bin_edges(cfg.H))
+        # the first benign clients with signal 1.0 and 3.0 key the two draws
+        expected = heterogeneity_sigma([mode.reference_vector(0), mode.reference_vector(1)])
+        assert params.sigma == expected > 0.0
 
 
 class TestDirectMode:
