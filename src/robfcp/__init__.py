@@ -11,9 +11,8 @@ from .calibration import (AggregateHistogram, EvalMetrics, QuantileEstimate, agg
 from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, estimator_precision_bound, heterogeneity_sigma,
                       overestimate_bounds, sketch_epsilon)
-from .count_estimator import (CountEstimate, GaussianModel, estimate_benign_count,
-                              estimate_malicious_count, gaussian_fit, looks_all_benign,
-                              objective_T)
+from .count_estimator import (CountEstimate, estimate_benign_count, estimate_malicious_count,
+                              looks_all_benign, objective_T)
 from .detection import (MaliciousnessRanking, maliciousness_scores, pairwise_distances,
                         rank_reports, select_benign)
 from .errors import ConfigError, FormatError, InputError, RobfcpError
@@ -30,12 +29,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateHistogram", "AttackSpec", "CalibrationResult", "CertificateParams",
     "ClientProfile", "ClientReport", "ConfigError", "CountEstimate", "CoverageCertificate",
-    "EvalMetrics", "FormatError", "GaussianModel", "InputError", "MaliciousnessRanking",
+    "EvalMetrics", "FormatError", "InputError", "MaliciousnessRanking",
     "MonteCarloResult", "QuantileEstimate", "RobfcpError",
     "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack", "config_echo",
     "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture", "estimate_benign_count",
     "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",
-    "gaussian_fit", "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
+    "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
     "label_score_matrix", "looks_all_benign", "maliciousness_scores", "monte_carlo",
     "objective_T", "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
     "read_reports", "reconstruct_counts", "report_from_json", "report_to_json",

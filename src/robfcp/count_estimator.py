@@ -14,6 +14,17 @@ isolates it, so argmax_z T(z) recovers the benign count.  The ranking itself
 depends on the assumed benign count, so ranking and split point are iterated
 to a fixed point.  The scan is restricted to z > K/2 (the usual breakdown
 assumption that benign clients are the majority).
+
+The fit at split z is Sigma_z = (M_z + c I) / z, where M_z is the centred
+scatter of the z most benign vectors and c = max(rho * tr(M_z0) / H, floor)
+is fixed per ordering at the first split z0 = floor(K/2) + 1: shrinkage
+toward a scaled identity (Ledoit & Wolf, J. Multivariate Anal. 2004), or c
+pseudo-observations of a conjugate prior.  This regularizer is an
+implementation choice, not the paper's.  It keeps the fit well-posed when
+z <= H leaves M_z singular, as it always is for histogram vectors on the
+simplex, and because c does not move with z, each split adds a rank-one term
+to M_z + c I: :func:`objective_T` walks all splits of one ordering in one
+pass of Sherman-Morrison updates, with numpy ufuncs and reductions only.
 """
 
 from __future__ import annotations
@@ -21,85 +32,58 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.blas import dsyrk
 
 from .detection import as_vector_matrix, maliciousness_scores, pairwise_distances
 from .errors import InputError
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: Ridge floor and relative scale used to regularize sample covariances.
-RIDGE_FLOOR = 1e-8
-RIDGE_SCALE = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianModel:
-    """Mean and ridge-regularized covariance fitted to a set of vectors."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    ridge: float
+#: Weight rho of the prior c * I against the first split's scatter, per dimension.
+PRIOR_RHO = 1.0
+#: Smallest prior weight c, reached when the first split's vectors are all equal.
+PRIOR_FLOOR = 1e-8
 
 
-def gaussian_fit(vectors) -> GaussianModel:
-    """Fit mean and covariance (divisor z, not z-1) with a ridge on the diagonal.
-
-    The ridge max(1e-8, 1e-6 * trace / H) keeps the fit well-posed even when
-    z <= H leaves the sample covariance rank-deficient, as it always is for
-    histogram vectors living on the simplex.
-
-    The Gram matrix comes from SciPy's BLAS, the library whose LAPACK factors
-    the covariance in :func:`_log_likelihoods`.  numpy's wheel bundles a
-    second OpenBLAS with its own thread pool; mixing the two in one fit lets
-    their spinning threads starve each other.  ``dsyrk`` fills the lower
-    triangle (numpy's ``centered.T @ centered`` dispatches to syrk too).
-    SciPy's wrapper zero-fills the strict upper triangle, so adding the
-    transpose mirrors it, and copying the diagonal back undoes its doubling:
-    the covariance is exactly symmetric.
-    """
-    x = as_vector_matrix(vectors)
-    z, h = x.shape
-    if z < 2:
-        raise InputError(f"need at least 2 vectors to fit a Gaussian, got {z}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    gram = dsyrk(1.0, centered.T, lower=1)
-    cov = gram + gram.T
-    cov.flat[:: h + 1] = gram.flat[:: h + 1]
-    cov /= z
-    ridge = max(RIDGE_FLOOR, RIDGE_SCALE * float(np.trace(cov)) / h)
-    cov.flat[:: h + 1] += ridge
-    return GaussianModel(mean=mean, covariance=cov, ridge=ridge)
-
-
-def _log_likelihoods(vectors: np.ndarray, model: GaussianModel) -> np.ndarray:
-    """Gaussian log-density of each row, via one Cholesky factorization.
-
-    Callers pass vectors that :func:`as_vector_matrix` has checked, so
-    LAPACK's own finiteness scans are skipped.
-    """
-    lower = cholesky(model.covariance, lower=True, check_finite=False)
-    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    dev = solve_triangular(lower, (vectors - model.mean).T, lower=True, check_finite=False)
-    quad = (dev ** 2).sum(axis=0)
-    h = model.mean.size
-    return -0.5 * (h * _LOG_2PI + logdet + quad)
-
-
-def objective_T(z: int, ordered_vectors) -> float:
-    """Split objective at z: in-cluster mean log-likelihood minus out-of-cluster mean.
+def objective_T(ordered_vectors) -> np.ndarray:
+    """T(z) at every split z = floor(K/2) + 1, ..., K - 1 of one ordering, in one pass.
 
     ``ordered_vectors`` must already be sorted by ascending maliciousness.
+    With P = (M_z + c I)^-1, so that Sigma_z^-1 = z P, and U = X - mu_z, the
+    log-determinant and the 2*pi term are the same for every row and cancel
+    in T, and the in-cluster quadratic forms average to tr(P M_z) =
+    H - c tr P, so
+
+        T(z) = (z * mean_{j >= z} U_j P U_j - (H - c tr P)) / 2.
+
+    The pass starts at z = 1 (mu = x_0, P = I / c) and keeps W = U P only
+    for the rows not yet in the cluster.  Adding row z, with d = U_z,
+    p = W_z, s = d.p, gamma = z / (z + 1) and beta = gamma / (1 + gamma s),
+    moves P to P - beta p p', tr P by -beta |p|^2, U by -d / (z + 1) and W by
+    -g p', where g = beta W d + (1 - beta s) / (z + 1).  Each step is
+    O(K * H) time and the pass O(K * H) memory; nothing reaches BLAS.
     """
     x = as_vector_matrix(ordered_vectors)
-    k = x.shape[0]
-    if not 2 <= z <= k - 1:
-        raise InputError(f"split point z must lie in [2, {k - 1}], got {z}")
-    model = gaussian_fit(x[:z])
-    ll = _log_likelihoods(x, model)
-    return float(ll[:z].mean() - ll[z:].mean())
+    k, h = x.shape
+    if k < 3:
+        raise InputError(f"need at least 3 vectors to scan split points, got {k}")
+    first = k // 2 + 1
+    head = x[:first] - x[:first].mean(axis=0)
+    c = max(PRIOR_RHO * float((head * head).sum()) / h, PRIOR_FLOOR)
+    u = x[1:] - x[0]
+    w = u / c
+    trace_p = h / c
+    curve = np.empty(k - first)
+    for z in range(1, k - 1):
+        d, p = u[0], w[0]
+        u, w = u[1:], w[1:]
+        s = float((d * p).sum())
+        beta = z / (z + 1.0 + z * s)
+        g = beta * (w * d).sum(axis=1) + (1.0 - beta * s) / (z + 1)
+        w -= g[:, None] * p
+        u -= d / (z + 1)
+        trace_p -= beta * float((p * p).sum())
+        if z + 1 >= first:
+            quad = (w * u).sum(axis=1).mean()
+            curve[z + 1 - first] = 0.5 * ((z + 1) * quad - (h - c * trace_p))
+    return curve
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,8 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
 
     The scan range is [floor(K/2) + 1, K - 1], and the first ranking assumes
     its lower end (a strict majority).  Ties in the argmax go to the smallest
-    z.  Requires K >= 4 so the range is non-trivial.  The vectors' finiteness
-    is checked once here, so no fit meets a NaN.
+    z.  Requires K >= 4 so the range is non-trivial.  Each round calls
+    :func:`objective_T` once, on the round's ordering.
     """
     vectors = as_vector_matrix(reports)
     k = vectors.shape[0]
@@ -152,11 +136,9 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
         iterations += 1
         scores = maliciousness_scores(distances, k_tilde)
         order = np.argsort(scores, kind="stable")
-        ordered = vectors[order]
-        zs = list(range(floor, k))
-        ts = [objective_T(z, ordered) for z in zs]
-        trace = list(zip(zs, ts))
-        k_hat = zs[int(np.argmax(ts))]
+        ts = objective_T(vectors[order])
+        trace = list(zip(range(floor, k), ts.tolist()))
+        k_hat = floor + int(np.argmax(ts))
         if k_hat in seen:
             converged, cycled = True, k_hat != k_tilde
             break

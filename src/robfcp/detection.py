@@ -27,7 +27,7 @@ def as_vector_matrix(reports) -> np.ndarray:
 
     Accepts a list of :class:`ClientReport` with identical edges, a list of
     1-d arrays, or an already-stacked 2-d array.  A NaN or infinite entry is
-    an :class:`InputError` here rather than a NaN distance or a LAPACK error
+    an :class:`InputError` here rather than a NaN distance or objective
     further down.
     """
     if isinstance(reports, np.ndarray) and reports.ndim == 2:

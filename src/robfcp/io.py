@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InputError
 from .scores import score_batch, validate_probabilities
 from .simulation import SimulationConfig
 from .sketch import ClientReport, report_from_json, report_to_json, sketch_scores, uniform_bin_edges
@@ -121,13 +121,16 @@ def _attack_from_value(value) -> AttackSpec:
     if isinstance(value, AttackSpec):
         return value
     if isinstance(value, str):
-        return AttackSpec(kind=value)
-    if isinstance(value, dict):
-        extra = set(value) - _ATTACK_KEYS
-        if extra:
-            raise ConfigError(f"unknown attack fields: {sorted(extra)}")
+        value = {"kind": value}
+    if not isinstance(value, dict):
+        raise ConfigError(f"attack must be a string or object, got {type(value).__name__}")
+    extra = set(value) - _ATTACK_KEYS
+    if extra:
+        raise ConfigError(f"unknown attack fields: {sorted(extra)}")
+    try:
         return AttackSpec(**value)
-    raise ConfigError(f"attack must be a string or object, got {type(value).__name__}")
+    except InputError as exc:
+        raise ConfigError(f"attack: {exc}") from None
 
 
 def fresh_seed() -> int:

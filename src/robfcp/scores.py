@@ -11,7 +11,8 @@ vector and a candidate label to a value in [0, 1]:
 Scores are computed over a batch of (N, C) probability rows: true-label
 scores by :func:`lac_scores` and :func:`aps_scores`, every candidate label by
 :func:`label_score_matrix`.  :func:`score_batch` is the one place that picks
-the kernel for a score kind and draws ``u`` for ``aps``.
+the kernel for a score kind and draws ``u`` for ``aps``; the simulator scores
+its own softmax rows through its unvalidated twin, ``_score_batch``.
 
 Tie rule: labels with equal probability are not ranked above each other, so
 each gets only the mass strictly greater than its own.  :func:`aps_scores`
@@ -81,6 +82,10 @@ def aps_scores(probs: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarr
         raise InputError("u must have one entry per row")
     if u.size and (u.min() < 0.0 or u.max() > 1.0):
         raise InputError("randomization u must lie in [0, 1]")
+    return _aps_scores(p, y, u)
+
+
+def _aps_scores(p: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     py = p[np.arange(p.shape[0]), y]
     above = np.empty(p.shape[0])
     for start in range(0, p.shape[0], APS_BLOCK_ROWS):
@@ -114,6 +119,10 @@ def label_score_matrix(probs: np.ndarray, kind: str = "lac",
     u = np.asarray(u, dtype=float)
     if u.shape != (p.shape[0],):
         raise InputError("u must have one entry per row")
+    return _aps_label_scores(p, u)
+
+
+def _aps_label_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     order = np.argsort(p, axis=1)[:, ::-1]
     ranked = np.take_along_axis(p, order, axis=1)
     # exclusive[i, j] = mass of the first j labels of row i in rank order
@@ -138,12 +147,17 @@ def score_batch(probs: np.ndarray, labels: np.ndarray, kind: str, rng: np.random
     """
     if kind not in SCORE_KINDS:
         raise InputError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
-    u = rng.uniform(size=len(labels)) if kind == "aps" else None
+    p = validate_probabilities(probs)
+    return _score_batch(p, _validate_labels(labels, p.shape[1]), kind, rng, per_label)
+
+
+def _score_batch(p: np.ndarray, y: np.ndarray, kind: str, rng: np.random.Generator,
+                 per_label: bool = False) -> np.ndarray:
+    """:func:`score_batch` on rows already known valid, such as a softmax's own output."""
+    u = rng.uniform(size=y.size) if kind == "aps" else None
     if per_label:
-        return label_score_matrix(probs, kind, u)
-    if u is None:
-        return lac_scores(probs, labels)
-    return aps_scores(probs, labels, u)
+        return 1.0 - p if u is None else _aps_label_scores(p, u)
+    return 1.0 - p[np.arange(p.shape[0]), y] if u is None else _aps_scores(p, y, u)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .certify import CertificateParams, CoverageCertificate, coverage_bounds, he
 from .count_estimator import estimate_malicious_count
 from .detection import rank_reports
 from .errors import ConfigError, InputError
-from .scores import SCORE_KINDS, TestBatch, score_batch
+from .scores import SCORE_KINDS, TestBatch, _score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 MODES = ("sample", "histogram_direct")
@@ -203,7 +203,7 @@ def generate_client_data(profile: ClientProfile, num_classes: int, score_kind: s
     if profile.mixture.size != num_classes:
         raise InputError("profile mixture length does not match num_classes")
     probs, labels = _draw_rows(profile.mixture, profile.signal, profile.n, rng)
-    return score_batch(probs, labels, score_kind, rng)
+    return _score_batch(probs, labels, score_kind, rng)
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,7 @@ class _SampleMode:
         rng = self.rng(_ROLE_SIGMA, i)
         profile = self.profiles[i]
         probs, labels = _draw_rows(profile.mixture, profile.signal, _SIGMA_REFERENCE_N, rng)
-        counts, _ = np.histogram(score_batch(probs, labels, self.config.score_kind, rng),
+        counts, _ = np.histogram(_score_batch(probs, labels, self.config.score_kind, rng),
                                  bins=self.edges)
         return counts / _SIGMA_REFERENCE_N
 
@@ -329,7 +329,7 @@ class _SampleMode:
             gen = self.rng(_ROLE_TEST, i)
             probs, labels = _draw_rows(self.profiles[i].mixture, self.profiles[i].signal,
                                        int(count), gen)
-            score_rows.append(score_batch(probs, labels, config.score_kind, gen, per_label=True))
+            score_rows.append(_score_batch(probs, labels, config.score_kind, gen, per_label=True))
             label_rows.append(labels)
         test = TestBatch(np.concatenate(score_rows), np.concatenate(label_rows))
         return [evaluate(test, q.q_hat) for q in quantiles]

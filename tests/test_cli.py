@@ -126,6 +126,17 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("ERROR:config:")
 
+    @pytest.mark.parametrize("attack", ["bogus", {"kind": "bogus"}, {"gaussian_std": -1},
+                                        {"kind": "mimic", "direction_override": "mass_low"}])
+    def test_invalid_attack_is_a_config_error(self, capsys, tmp_path, attack):
+        path = tmp_path / "bad_attack.json"
+        path.write_text(json.dumps({"K": 6, "k_m": 1, "n_per_client": 10, "C": 3,
+                                    "attack": attack}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert err.startswith("ERROR:config:attack: ")
+        assert out == ""
+
 
 class TestCertify:
     BASE = ["certify", "--alpha", "0.1", "--beta", "0.05", "--H", "10",
@@ -201,9 +212,9 @@ class TestEstimate:
         """T forced to peak at z=8 in round one and z=6 in round two: a 2-cycle 6 -> 8 -> 6."""
         calls = []
 
-        def fake_objective(z, ordered_vectors):
-            calls.append(z)
-            return 1.0 if z == (8 if len(calls) <= 4 else 6) else 0.0
+        def fake_objective(ordered_vectors):
+            calls.append(len(ordered_vectors))
+            return (np.arange(6, 10) == (8 if len(calls) == 1 else 6)).astype(float)
 
         monkeypatch.setattr(count_estimator, "objective_T", fake_objective)
         code, out, _ = run_cli(capsys, "estimate", "--reports", reports_path)

@@ -11,11 +11,8 @@ from scipy.stats import multivariate_normal
 
 from robfcp import count_estimator
 from robfcp.count_estimator import (
-    GaussianModel,
-    _log_likelihoods,
     estimate_benign_count,
     estimate_malicious_count,
-    gaussian_fit,
     looks_all_benign,
     objective_T,
 )
@@ -39,28 +36,38 @@ def _cluster_with_outliers(k_benign, k_malicious, num_bins=10, seed=0):
     return np.stack(vectors)
 
 
-# --- oracle: the scan with numpy's ``@`` Gram matrix and ``+ ridge * np.eye`` ---
+# --- oracle: each split's Gaussian fitted and scored directly, log-determinant included ---
 
-def _oracle_fit(x):
-    z, h = x.shape
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / z
-    ridge = max(1e-8, 1e-6 * float(np.trace(cov)) / h)
-    return mean, cov + ridge * np.eye(h)
+def _oracle_prior(x):
+    """c = max(tr(M_z0) / H, 1e-8) at the first split z0 = floor(K/2) + 1."""
+    head = x[: x.shape[0] // 2 + 1]
+    centered = head - head.mean(axis=0)
+    return max(float(np.trace(centered.T @ centered)) / x.shape[1], 1e-8)
 
 
-def _oracle_T(z, x):
-    mean, cov = _oracle_fit(x[:z])
+def _oracle_log_likelihoods(x, mean, cov):
     lower = cholesky(cov, lower=True)
     logdet = 2.0 * float(np.log(np.diag(lower)).sum())
     dev = solve_triangular(lower, (x - mean).T, lower=True)
-    ll = -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + (dev ** 2).sum(axis=0))
+    return -0.5 * (x.shape[1] * np.log(2.0 * np.pi) + logdet + (dev ** 2).sum(axis=0))
+
+
+def _oracle_T(z, x, c):
+    """Mean log-likelihood in minus out under Sigma_z = (M_z + c I) / z."""
+    mean = x[:z].mean(axis=0)
+    centered = x[:z] - mean
+    cov = (centered.T @ centered + c * np.eye(x.shape[1])) / z
+    ll = _oracle_log_likelihoods(x, mean, cov)
     return float(ll[:z].mean() - ll[z:].mean())
 
 
+def _oracle_curve(x):
+    c = _oracle_prior(x)
+    return [_oracle_T(z, x, c) for z in range(x.shape[0] // 2 + 1, x.shape[0])]
+
+
 def _oracle_scan(x, max_iter=10):
-    """(k_b_hat, iterations, trace) of the original alternating scan."""
+    """(k_b_hat, iterations, trace) of the alternating scan, T evaluated directly."""
     k = x.shape[0]
     floor = k // 2 + 1
     distances = pairwise_distances(x)
@@ -69,7 +76,7 @@ def _oracle_scan(x, max_iter=10):
         iterations += 1
         order = np.argsort(maliciousness_scores(distances, k_tilde), kind="stable")
         zs = list(range(floor, k))
-        ts = [_oracle_T(z, x[order]) for z in zs]
+        ts = _oracle_curve(x[order])
         k_hat = zs[int(np.argmax(ts))]
         if k_hat in seen:
             break
@@ -101,23 +108,15 @@ SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None
 
 
 class TestScanMatchesOracle:
-    """The fit, T(z) and the scan agree with the original numpy-only formulas."""
-
-    @SWEEP
-    @given(x=federations())
-    def test_covariance(self, x):
-        for z in (2, x.shape[0] // 2 + 1, x.shape[0]):
-            _, expected = _oracle_fit(x[:z])
-            cov = gaussian_fit(x[:z]).covariance
-            np.testing.assert_allclose(cov, expected, rtol=1e-12,
-                                       atol=1e-12 * np.abs(expected).max())
-            assert np.array_equal(cov, cov.T)
+    """The one-pass curve and the scan agree with a direct fit and score of every split."""
 
     @SWEEP
     @given(x=federations())
     def test_objective(self, x):
-        for z in range(2, x.shape[0]):
-            assert objective_T(z, x) == pytest.approx(_oracle_T(z, x), rel=1e-9)
+        curve = objective_T(x)
+        expected = _oracle_curve(x)
+        np.testing.assert_allclose(curve, expected, rtol=1e-9)
+        assert int(np.argmax(curve)) == int(np.argmax(expected))
 
     @SWEEP
     @given(x=federations())
@@ -137,76 +136,74 @@ class TestNonFiniteInput:
         vectors[8, 2] = bad
         for call in (lambda: estimate_benign_count(vectors),
                      lambda: estimate_malicious_count(vectors),
-                     lambda: objective_T(6, vectors),
-                     lambda: gaussian_fit(vectors[6:])):
+                     lambda: objective_T(vectors)):
             with pytest.raises(InputError, match="finite"):
                 call()
 
     def test_log_likelihood_rejects_nan_vector(self):
-        """A NaN vector that is only scored under the fit, never fitted, is rejected."""
-        vectors = np.array([[0.5, 0.5], [0.4, 0.6], [np.nan, 0.5]])
+        """A NaN vector that is only scored under the fits, never fitted, is rejected."""
+        vectors = np.array([[0.5, 0.5], [0.4, 0.6], [0.45, 0.55], [np.nan, 0.5]])
         with pytest.raises(InputError, match="finite"):
-            objective_T(2, vectors)
+            objective_T(vectors)
 
 
 class TestGaussianFit:
+    """The fit each split makes, Sigma_z = (M_z + c I) / z, seen through T."""
+
     def test_population_covariance(self):
-        """Divisor is z, not z - 1."""
-        model = gaussian_fit(np.array([[0.4], [0.6]]))
-        assert model.mean[0] == pytest.approx(0.5)
-        assert model.covariance[0, 0] == pytest.approx(0.01, rel=1e-5)
+        """Divisor z, not z - 1: at H = 1 the fit's variance is (M_z + c) / z."""
+        x = np.array([0.4, 0.6, 0.5, 0.9])  # z0 = 3: mean 0.5, M_3 = 0.02, so c = 0.02
+        var = (0.02 + 0.02) / 3
+
+        def ll(v):
+            return -0.5 * (np.log(2.0 * np.pi * var) + (v - 0.5) ** 2 / var)
+
+        expected = np.mean([ll(v) for v in x[:3]]) - ll(x[3])
+        np.testing.assert_allclose(objective_T(x[:, None]), [expected], rtol=1e-12)
 
     def test_ridge_floor_on_identical_vectors(self):
-        model = gaussian_fit(np.tile([0.3, 0.7], (4, 1)))
-        np.testing.assert_allclose(np.diag(model.covariance), 1e-8)
-        assert np.isfinite(_log_likelihoods(np.array([[0.3, 0.7]]), model)).all()
+        vectors = np.tile([0.3, 0.7], (6, 1))
+        vectors[5] = [0.9, 0.1]
+        curve = objective_T(vectors)
+        assert np.isfinite(curve).all()
+        np.testing.assert_allclose(curve, _oracle_curve(vectors), rtol=1e-9)
+        assert int(np.argmax(curve)) == 1  # z = 5 isolates the odd vector
 
     def test_ridge_scales_with_trace(self):
-        rng = np.random.default_rng(42)
-        x = rng.uniform(size=(50, 4))
-        model = gaussian_fit(x)
-        raw = x - x.mean(axis=0)
-        trace = float(np.trace(raw.T @ raw / 50))
-        assert model.ridge == pytest.approx(max(1e-8, 1e-6 * trace / 4))
-
-    @pytest.mark.parametrize("z,h", [(2, 3), (40, 120), (80, 100), (99, 100)])
-    def test_covariance_exactly_symmetric(self, z, h):
-        x = np.random.default_rng(z * h).dirichlet(np.ones(h), size=z)
-        cov = gaussian_fit(x).covariance
-        assert np.array_equal(cov, cov.T)
-
-    def test_needs_two_vectors(self):
-        with pytest.raises(InputError):
-            gaussian_fit(np.array([[0.5, 0.5]]))
+        """c follows tr(M_z0) / H, so rescaling every vector leaves T unchanged."""
+        x = np.random.default_rng(42).dirichlet(np.ones(30), size=40)
+        np.testing.assert_allclose(objective_T(7.0 * x), objective_T(x), rtol=1e-9)
 
 
 class TestLogLikelihood:
+    """The oracle's log-density, which gates the one-pass curve, against scipy."""
+
     def test_standard_normal_at_one_sigma(self):
-        model = GaussianModel(mean=np.zeros(1), covariance=np.eye(1), ridge=0.0)
-        assert _log_likelihoods(np.array([[1.0]]), model)[0] == pytest.approx(
-            -0.5 * np.log(2.0 * np.pi) - 0.5)
+        ll = _oracle_log_likelihoods(np.array([[1.0]]), np.zeros(1), np.eye(1))
+        assert ll[0] == pytest.approx(-0.5 * np.log(2.0 * np.pi) - 0.5)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(30, 5))
-        model = gaussian_fit(x)
-        ref = multivariate_normal(mean=model.mean, cov=model.covariance)
-        np.testing.assert_allclose(_log_likelihoods(x[:10], model), ref.logpdf(x[:10]),
-                                   rtol=1e-10)
+        mean, cov = x.mean(axis=0), np.cov(x.T, bias=True) + 0.01 * np.eye(5)
+        ref = multivariate_normal(mean=mean, cov=cov)
+        np.testing.assert_allclose(_oracle_log_likelihoods(x[:10], mean, cov),
+                                   ref.logpdf(x[:10]), rtol=1e-10)
 
 
 class TestObjectiveT:
     def test_peak_at_true_split(self):
         vectors = _cluster_with_outliers(6, 2, seed=1)
-        values = {z: objective_T(z, vectors) for z in range(2, 8)}
-        assert max(values, key=values.get) == 6
+        curve = objective_T(vectors)  # z = 5, 6, 7
+        assert curve.shape == (3,)
+        assert 5 + int(np.argmax(curve)) == 6
 
     def test_z_bounds(self):
-        vectors = _cluster_with_outliers(4, 2, seed=2)
+        """The curve spans z = floor(K/2) + 1 .. K - 1, so it needs K >= 3."""
+        assert objective_T(_cluster_with_outliers(2, 1, seed=2)).shape == (1,)
+        assert objective_T(_cluster_with_outliers(7, 3, seed=2)).shape == (4,)
         with pytest.raises(InputError):
-            objective_T(1, vectors)
-        with pytest.raises(InputError):
-            objective_T(6, vectors)
+            objective_T(_cluster_with_outliers(1, 1, seed=2))
 
 
 class TestEstimateBenignCount:
@@ -248,12 +245,12 @@ class TestEstimateBenignCount:
 
 def force_scan_peaks(monkeypatch, k, peaks):
     """Replace T so that round r of the scan over k clients peaks at z = peaks[r]."""
-    per_round = k - (k // 2 + 1)
+    floor = k // 2 + 1
     calls = []
 
-    def fake_objective(z, ordered_vectors):
-        calls.append(z)
-        return 1.0 if z == peaks[(len(calls) - 1) // per_round] else 0.0
+    def fake_objective(ordered_vectors):
+        calls.append(len(ordered_vectors))
+        return (np.arange(floor, k) == peaks[len(calls) - 1]).astype(float)
 
     monkeypatch.setattr(count_estimator, "objective_T", fake_objective)
 

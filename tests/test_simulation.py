@@ -1,6 +1,8 @@
 """Tests for the seeded federated simulation harness."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -250,6 +252,34 @@ class TestCertificateSigma:
         # the first benign clients with signal 1.0 and 3.0 key the two draws
         expected = heterogeneity_sigma([mode.reference_vector(0), mode.reference_vector(1)])
         assert params.sigma == expected > 0.0
+
+
+class TestCountRecovery:
+    """k_m-unknown trials recover k_m = K/5 exactly, also when K reaches and passes H."""
+
+    @pytest.mark.parametrize("attack", ["coverage", "gaussian"])
+    @pytest.mark.parametrize("K", [20, 100, 150, 200])
+    def test_exact_near_and_above_H(self, K, attack):
+        got = [run_trial(_config(K=K, k_m=K // 5, n_per_client=2000, C=2, H=100,
+                                 attack=AttackSpec(attack), km_known=False,
+                                 mode="histogram_direct", seed=seed), 0).k_m_hat
+               for seed in range(5)]
+        assert got == [K // 5] * 5
+
+
+def test_trial_runs_without_scipy():
+    """The runtime needs numpy alone: a k_m-unknown trial with scipy unimportable."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from robfcp.attacks import AttackSpec\n"
+            "from robfcp.simulation import SimulationConfig, run_trial\n"
+            "cfg = SimulationConfig(K=8, k_m=2, n_per_client=300, C=4, H=20, n_test=200,\n"
+            "                       attack=AttackSpec('coverage'), km_known=False)\n"
+            "print(run_trial(cfg, 0).k_m_hat)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "2"
 
 
 class TestDirectMode:
