@@ -13,11 +13,10 @@ from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       overestimate_bounds, sketch_epsilon)
 from .count_estimator import (CountEstimate, estimate_benign_count, estimate_malicious_count,
                               looks_all_benign, objective_T)
-from .detection import (MaliciousnessRanking, maliciousness_scores, pairwise_distances,
-                        rank_reports, select_benign)
+from .detection import maliciousness_scores, pairwise_distances, rank_reports
 from .errors import ConfigError, FormatError, InputError, RobfcpError
 from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
-from .scores import TestBatch, label_score_matrix, score_batch
+from .scores import TestBatch, score_batch
 from .simulation import (CalibrationResult, ClientProfile, MonteCarloResult, SimulationConfig,
                          TrialReport, dirichlet_mixture, generate_client_data, monte_carlo,
                          robust_calibrate, run_trial)
@@ -29,15 +28,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateHistogram", "AttackSpec", "CalibrationResult", "CertificateParams",
     "ClientProfile", "ClientReport", "ConfigError", "CountEstimate", "CoverageCertificate",
-    "EvalMetrics", "FormatError", "InputError", "MaliciousnessRanking",
-    "MonteCarloResult", "QuantileEstimate", "RobfcpError",
-    "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack", "config_echo",
-    "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture", "estimate_benign_count",
-    "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",
-    "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
-    "label_score_matrix", "looks_all_benign", "maliciousness_scores", "monte_carlo",
+    "EvalMetrics", "FormatError", "InputError", "MonteCarloResult", "QuantileEstimate",
+    "RobfcpError", "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack",
+    "config_echo", "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture",
+    "estimate_benign_count", "estimate_malicious_count", "estimator_precision_bound",
+    "evaluate", "federated_quantile", "generate_client_data", "heterogeneity_sigma",
+    "histogram_characterize", "looks_all_benign", "maliciousness_scores", "monte_carlo",
     "objective_T", "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
     "read_reports", "reconstruct_counts", "report_from_json", "report_to_json",
-    "reports_from_csv", "robust_calibrate", "run_trial", "score_batch", "select_benign",
-    "sketch_epsilon", "sketch_scores", "uniform_bin_edges", "write_reports",
+    "reports_from_csv", "robust_calibrate", "run_trial", "score_batch", "sketch_epsilon",
+    "sketch_scores", "uniform_bin_edges", "write_reports",
 ]

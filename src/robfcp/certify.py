@@ -67,10 +67,11 @@ class CertificateParams:
             raise InputError(f"min_benign_n must be >= 1, got {self.min_benign_n}")
         if self.total_malicious_n < 0:
             raise InputError(f"total_malicious_n must be >= 0, got {self.total_malicious_n}")
-        if self.sigma < 0.0:
-            raise InputError(f"sigma must be >= 0, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
+        # NaN fails these too.  sigma is an l1 gap between probability vectors, epsilon a bin mass.
+        if not 0.0 <= self.sigma <= 2.0:
+            raise InputError(f"sigma must lie in [0, 2], got {self.sigma}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise InputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     @property
     def tau(self) -> float:
@@ -125,17 +126,9 @@ def _assemble(params: CertificateParams, radius: float, variant: str) -> Coverag
     return CoverageCertificate(lower=lower, upper=upper, p_byz=p_byz, variant=variant)
 
 
-def coverage_bounds(params: CertificateParams, homogeneous: bool = False) -> CoverageCertificate:
-    """Gaussian-tail coverage interval for the filtered pipeline.
-
-    With ``homogeneous=True`` all benign clients are assumed to share one
-    score distribution: sigma must be 0, and the interval is the general one
-    at sigma = 0, labelled ``"homogeneous"``.
-    """
-    if homogeneous and params.sigma != 0.0:
-        raise InputError("the homogeneous variant requires sigma = 0")
-    variant = "homogeneous" if homogeneous else "normal"
-    return _assemble(params, _gaussian_radius(params), variant)
+def coverage_bounds(params: CertificateParams) -> CoverageCertificate:
+    """Gaussian-tail coverage interval for the filtered pipeline."""
+    return _assemble(params, _gaussian_radius(params), "normal")
 
 
 def coverage_bounds_dkw(params: CertificateParams) -> CoverageCertificate:
@@ -173,9 +166,9 @@ def estimator_precision_bound(trace_sigma: float, sigma_max_ratio: float, d: flo
     vector to the benign mean.  Requires k_m < k_b_tilde <= k_b.  The value
     is returned unclipped; anything <= 0 is vacuous.
     """
-    if trace_sigma < 0.0:
+    if not trace_sigma >= 0.0:
         raise InputError(f"trace_sigma must be >= 0, got {trace_sigma}")
-    if sigma_max_ratio < 1.0:
+    if not sigma_max_ratio >= 1.0:
         raise InputError(f"sigma_max_ratio must be >= 1, got {sigma_max_ratio}")
     if not d > 0.0:
         raise InputError(f"separation d must be positive, got {d}")

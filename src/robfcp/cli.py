@@ -149,8 +149,6 @@ def _one_certificate(args, nb: int | None = None) -> CoverageCertificate:
     params = _build_params(args, nb)
     if args.variant == "normal":
         return coverage_bounds(params)
-    if args.variant == "homogeneous":
-        return coverage_bounds(params, homogeneous=True)
     if args.variant == "dkw":
         return coverage_bounds_dkw(params)
     if args.kb_reported is None:
@@ -234,7 +232,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--sigma", type=float, default=0.0)
     p_cert.add_argument("--epsilon", type=float, default=0.0)
     p_cert.add_argument("--variant", default="normal",
-                        choices=("normal", "homogeneous", "dkw", "overestimate"))
+                        choices=("normal", "dkw", "overestimate"))
     p_cert.add_argument("--kb-reported", type=int, default=None, dest="kb_reported")
     p_cert.add_argument("--sweep", default=None, help="nb=a:b:step emits a CSV over nb")
     p_cert.add_argument("--out", default=None)

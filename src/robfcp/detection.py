@@ -15,12 +15,11 @@ client ids is the caller's job (see ``simulation.robust_calibrate``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 from .sketch import ClientReport
+
 
 def as_vector_matrix(reports) -> np.ndarray:
     """Stack reports (or raw vectors) into a (K, H) float matrix of finite entries.
@@ -84,30 +83,7 @@ def maliciousness_scores(d: np.ndarray, k_b: int) -> np.ndarray:
     return part.mean(axis=1)
 
 
-@dataclass(frozen=True)
-class MaliciousnessRanking:
-    """Per-row scores, the selected benign rows, and the k_b used to select them."""
-
-    scores: np.ndarray
-    benign_set: tuple[int, ...]
-    k_b_used: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
-        object.__setattr__(self, "benign_set", tuple(int(i) for i in self.benign_set))
-
-
-def select_benign(scores: np.ndarray, k_b: int) -> MaliciousnessRanking:
-    """Keep the ``k_b`` lowest-scoring rows, ties broken by lowest row."""
-    s = np.asarray(scores, dtype=float)
-    if not 1 <= k_b <= s.size:
-        raise InputError(f"k_b must lie in [1, {s.size}], got {k_b}")
-    order = np.argsort(s, kind="stable")
-    benign = tuple(sorted(int(i) for i in order[:k_b]))
-    return MaliciousnessRanking(scores=s, benign_set=benign, k_b_used=int(k_b))
-
-
-def rank_reports(reports, k_b: int, p=2) -> MaliciousnessRanking:
-    """Score all reports and select the ``k_b`` most benign-looking ones."""
-    distances = pairwise_distances(reports, p=p)
-    return select_benign(maliciousness_scores(distances, k_b), k_b)
+def rank_reports(reports, k_b: int, p=2) -> tuple[int, ...]:
+    """Rows of the ``k_b`` lowest maliciousness scores, ascending; ties go to the lowest row."""
+    scores = maliciousness_scores(pairwise_distances(reports, p=p), k_b)
+    return tuple(sorted(int(i) for i in np.argsort(scores, kind="stable")[:k_b]))

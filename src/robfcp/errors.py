@@ -29,3 +29,16 @@ class ConfigError(InputError):
     """A simulation config is inconsistent or contains unknown keys."""
 
     code = "config"
+
+
+def _integer(name: str, value, low: int, high: int | None = None,
+             error: type[InputError] = InputError) -> int:
+    """``value`` as an int in [low, high), or ``error`` naming the field: never a ValueError."""
+    try:
+        ok = int(value) == value and low <= value and (high is None or value < high)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)

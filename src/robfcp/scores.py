@@ -8,16 +8,10 @@ vector and a candidate label to a value in [0, 1]:
 * ``aps``: the cumulated probability mass of all labels ranked strictly above
   the candidate, plus a randomized fraction ``u`` of the candidate's own mass.
 
-Scores are computed over a batch of (N, C) probability rows: true-label
-scores by :func:`lac_scores` and :func:`aps_scores`, every candidate label by
-:func:`label_score_matrix`.  :func:`score_batch` is the one place that picks
-the kernel for a score kind and draws ``u`` for ``aps``; the simulator scores
-its own softmax rows through its unvalidated twin, ``_score_batch``.
-
-Tie rule: labels with equal probability are not ranked above each other, so
-each gets only the mass strictly greater than its own.  :func:`aps_scores`
-is O(N·C), reduced over blocks of rows; the ``aps`` label matrix is
-O(N·C log C), one sort and prefix sum per row.
+:func:`score_batch` is the one public entry: it validates (N, C) probability
+rows, draws ``u`` for ``aps``, and returns the true-label scores or, with
+``per_label``, every candidate label's score.  The simulator scores its own
+softmax rows through the unvalidated ``_score_batch``.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ PROB_ATOL = 1e-9
 
 SCORE_KINDS = ("lac", "aps")
 
-#: Rows per block in :func:`aps_scores`, so each block's mask and product stay in cache.
+#: Rows per block in :func:`_aps_scores`, so each block's mask and product stay in cache.
 APS_BLOCK_ROWS = 256
 
 
@@ -66,26 +60,13 @@ def _validate_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return y.astype(int)
 
 
-def lac_scores(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized ``lac`` scores for a batch of (row, label) pairs."""
-    p = validate_probabilities(probs)
-    y = _validate_labels(labels, p.shape[1])
-    return 1.0 - p[np.arange(p.shape[0]), y]
-
-
-def aps_scores(probs: np.ndarray, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized ``aps`` scores; ``u`` holds one randomization draw per row."""
-    p = validate_probabilities(probs)
-    y = _validate_labels(labels, p.shape[1])
-    u = np.asarray(u, dtype=float)
-    if u.shape != (p.shape[0],):
-        raise InputError("u must have one entry per row")
-    if u.size and (u.min() < 0.0 or u.max() > 1.0):
-        raise InputError("randomization u must lie in [0, 1]")
-    return _aps_scores(p, y, u)
-
-
 def _aps_scores(p: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """True-label ``aps`` scores of valid rows ``p``, labels ``y`` and draws ``u``.
+
+    O(N·C), reduced over blocks of :data:`APS_BLOCK_ROWS` rows.  Tie rule:
+    labels with equal probability are not ranked above each other, so each
+    gets only the mass strictly greater than its own.
+    """
     py = p[np.arange(p.shape[0]), y]
     above = np.empty(p.shape[0])
     for start in range(0, p.shape[0], APS_BLOCK_ROWS):
@@ -95,34 +76,19 @@ def _aps_scores(p: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     return above + py * u
 
 
-def label_score_matrix(probs: np.ndarray, kind: str = "lac",
-                       u: np.ndarray | None = None) -> np.ndarray:
-    """Per-label score matrix: entry (i, y) is the score of candidate label y on row i.
-
-    For ``aps`` the same draw ``u[i]`` is shared by every candidate label of
-    row i, which keeps prediction sets nested in the quantile threshold.  The
-    mass above each label is an exclusive prefix sum over the row sorted by
-    descending probability: O(N·C log C) time and O(N·C) memory.  Tie rule:
-    labels with equal probability all get the mass strictly greater than
-    theirs, the prefix sum at the start of their tie group, so the order in
-    which the sort places tied labels does not change any score.  The prefix
-    sum adds in rank order, so a score may differ in the last few ulp from a
-    sum of the same masses taken in label order.
-    """
-    p = validate_probabilities(probs)
-    if kind == "lac":
-        return 1.0 - p
-    if kind != "aps":
-        raise InputError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
-    if u is None:
-        raise InputError("aps label scores require a u draw per row")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (p.shape[0],):
-        raise InputError("u must have one entry per row")
-    return _aps_label_scores(p, u)
-
-
 def _aps_label_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-label ``aps`` matrix: entry (i, y) is the score of candidate label y on row i.
+
+    The same draw ``u[i]`` is shared by every candidate label of row i, which
+    keeps prediction sets nested in the quantile threshold.  The mass above
+    each label is an exclusive prefix sum over the row sorted by descending
+    probability: O(N·C log C) time and O(N·C) memory.  Tie rule: labels with
+    equal probability all get the mass strictly greater than theirs, the
+    prefix sum at the start of their tie group, so the order in which the sort
+    places tied labels does not change any score.  The prefix sum adds in rank
+    order, so a score may differ in the last few ulp from a sum of the same
+    masses taken in label order, as :func:`_aps_scores` takes it.
+    """
     order = np.argsort(p, axis=1)[:, ::-1]
     ranked = np.take_along_axis(p, order, axis=1)
     # exclusive[i, j] = mass of the first j labels of row i in rank order
@@ -183,10 +149,6 @@ class TestBatch:
 
     def __len__(self) -> int:
         return self.label_scores.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.label_scores.shape[1]
 
     @property
     def true_label_scores(self) -> np.ndarray:

@@ -15,6 +15,8 @@ stream and results do not depend on thread count or execution order.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, fed
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
 from .detection import rank_reports
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _integer
 from .scores import SCORE_KINDS, TestBatch, _score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
@@ -50,6 +52,26 @@ _MAX_SEED = 2 ** 64
 def _rng(seed: int, trial_index: int, role: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(trial_index, role, index)))
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float strictly between ``low`` and ``high``, or a :class:`ConfigError`."""
+    try:
+        ok = isinstance(value, numbers.Real) and low < float(value) < high
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a number in ({low}, {high}), got {value!r}")
+    return float(value)
+
+
+def _per_client(name: str, value, num_clients: int) -> tuple:
+    """A list of one value per client, or one value shared by every client."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return (value,) * num_clients
+    if len(value) != num_clients:
+        raise ConfigError(f"{name} list must have K={num_clients} entries, got {len(value)}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -75,66 +97,32 @@ class SimulationConfig:
     mode: str = "sample"
 
     def __post_init__(self):
-        if int(self.K) != self.K or self.K < 2:
-            raise ConfigError(f"K must be an integer >= 2, got {self.K}")
-        if int(self.k_m) != self.k_m or self.k_m < 0:
-            raise ConfigError(f"k_m must be a non-negative integer, got {self.k_m}")
+        for name, low in (("K", 2), ("k_m", 0), ("C", 2), ("H", 1), ("p_norm", 1),
+                          ("n_test", 1), ("trials", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low,
+                                                    error=ConfigError))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MAX_SEED, ConfigError))
+        for name, low, high in (("alpha", 0.0, 1.0), ("beta", 0.0, 1.0),
+                                ("dirichlet_beta", 0.0, math.inf)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), low, high))
         if self.k_m >= self.K - self.k_m:
             raise ConfigError(
                 f"malicious clients must be a strict minority: k_m={self.k_m} with K={self.K}")
-        if int(self.C) != self.C or self.C < 2:
-            raise ConfigError(f"C must be an integer >= 2, got {self.C}")
-        if int(self.H) != self.H or self.H < 1:
-            raise ConfigError(f"H must be an integer >= 1, got {self.H}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.dirichlet_beta > 0.0:
-            raise ConfigError(f"dirichlet_beta must be positive, got {self.dirichlet_beta}")
         if self.score_kind not in SCORE_KINDS:
             raise ConfigError(f"score_kind must be one of {SCORE_KINDS}, got {self.score_kind!r}")
         if not isinstance(self.attack, AttackSpec):
             raise ConfigError("attack must be an AttackSpec")
-        if int(self.p_norm) != self.p_norm or self.p_norm < 1:
-            raise ConfigError(f"p_norm must be an integer >= 1, got {self.p_norm}")
         if not isinstance(self.km_known, bool):
             raise ConfigError("km_known must be a boolean")
         if not self.km_known and self.K < 4:
             raise ConfigError("estimating the malicious count requires K >= 4")
-        if int(self.n_test) != self.n_test or self.n_test < 1:
-            raise ConfigError(f"n_test must be a positive integer, got {self.n_test}")
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < _MAX_SEED:
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-        ns = self.n_per_client
-        if isinstance(ns, (int, np.integer)):
-            ns = (int(ns),) * int(self.K)
-        else:
-            ns = tuple(int(n) for n in ns)
-            if len(ns) != self.K:
-                raise ConfigError(f"n_per_client list must have K={self.K} entries, got {len(ns)}")
-        if any(n < 1 for n in ns):
-            raise ConfigError("every per-client sample count must be >= 1")
-        object.__setattr__(self, "n_per_client", ns)
-
-        sig = self.signal
-        if isinstance(sig, (int, float, np.floating, np.integer)):
-            sig = (float(sig),) * int(self.K)
-        else:
-            sig = tuple(float(s) for s in sig)
-            if len(sig) != self.K:
-                raise ConfigError(f"signal list must have K={self.K} entries, got {len(sig)}")
-        object.__setattr__(self, "signal", sig)
-
-        for name in ("K", "k_m", "C", "H", "p_norm", "n_test", "trials", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("alpha", "beta", "dirichlet_beta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        ns = _per_client("n_per_client", self.n_per_client, self.K)
+        object.__setattr__(self, "n_per_client", tuple(
+            _integer("n_per_client", n, 1, error=ConfigError) for n in ns))
+        signals = _per_client("signal", self.signal, self.K)
+        object.__setattr__(self, "signal", tuple(_real("signal", s) for s in signals))
 
     @property
     def benign_ids(self) -> tuple[int, ...]:
@@ -232,7 +220,7 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
     if k_m == 0:
         rows = range(len(reports))
     else:
-        rows = rank_reports(reports, len(reports) - k_m, p=p).benign_set
+        rows = rank_reports(reports, len(reports) - k_m, p=p)
     selected = tuple(sorted(reports[row].client_id for row in rows))
     return CalibrationResult(
         selected=selected, k_m_hat=int(k_m),

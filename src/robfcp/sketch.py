@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, _integer
 
 # Reported vectors must sum to one within this absolute tolerance.
 VECTOR_ATOL = 1e-9
@@ -53,19 +53,6 @@ def histogram_characterize(scores, edges) -> np.ndarray:
     return counts / s.size
 
 
-def validate_characterization(v, num_bins: int | None = None) -> np.ndarray:
-    vec = np.asarray(v, dtype=float)
-    if vec.ndim != 1 or vec.size < 1:
-        raise InputError("characterization vector must be 1-dimensional and non-empty")
-    if num_bins is not None and vec.size != num_bins:
-        raise InputError(f"characterization vector has {vec.size} bins, expected {num_bins}")
-    if not np.all(np.isfinite(vec)) or vec.min() < 0.0:
-        raise InputError("characterization entries must be finite and non-negative")
-    if abs(vec.sum() - 1.0) > VECTOR_ATOL:
-        raise InputError("characterization entries must sum to 1 within 1e-9")
-    return vec
-
-
 @dataclass(frozen=True, eq=False)
 class ClientReport:
     """One client's sketched calibration set: id, trusted sample count, grid, vector."""
@@ -76,14 +63,17 @@ class ClientReport:
     edges: np.ndarray
 
     def __post_init__(self):
-        if int(self.client_id) != self.client_id or self.client_id < 0:
-            raise InputError(f"client_id must be a non-negative integer, got {self.client_id}")
-        if int(self.n) != self.n or self.n < 1:
-            raise InputError(f"sample count n must be a positive integer, got {self.n}")
+        client_id, n = _integer("client_id", self.client_id, 0), _integer("n", self.n, 1)
         edges = validate_edges(self.edges)
-        v = validate_characterization(self.v, num_bins=edges.size - 1)
-        object.__setattr__(self, "client_id", int(self.client_id))
-        object.__setattr__(self, "n", int(self.n))
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != (edges.size - 1,):
+            raise InputError(f"vector of shape {v.shape} does not match {edges.size - 1} bins")
+        if not np.all(np.isfinite(v)) or v.min() < 0.0:
+            raise InputError("characterization entries must be finite and non-negative")
+        if abs(v.sum() - 1.0) > VECTOR_ATOL:
+            raise InputError("characterization entries must sum to 1 within 1e-9")
+        object.__setattr__(self, "client_id", client_id)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "edges", edges)
 

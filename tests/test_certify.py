@@ -91,17 +91,6 @@ class TestCoverageBounds:
                               num_malicious=0, min_benign_n=n_b, total_malicious_n=0)
         assert coverage_bounds(p).p_byz == pytest.approx(_gaussian_radius(p), rel=1e-12)
 
-    def test_homogeneous_matches_general_at_sigma_zero(self):
-        p = _params()
-        general = coverage_bounds(p)
-        homo = coverage_bounds(p, homogeneous=True)
-        assert homo.variant == "homogeneous"
-        assert (homo.lower, homo.upper, homo.p_byz) == (general.lower, general.upper, general.p_byz)
-
-    def test_homogeneous_requires_sigma_zero(self):
-        with pytest.raises(InputError):
-            coverage_bounds(_params(sigma=0.1), homogeneous=True)
-
     def test_heterogeneity_widens_bounds(self):
         tight = coverage_bounds(_params(sigma=0.0))
         wide = coverage_bounds(_params(sigma=0.05))
@@ -135,6 +124,18 @@ class TestCoverageBounds:
             _params(sigma=-0.1)
         with pytest.raises(InputError):
             _params(epsilon=-0.001)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("sigma", math.nan), ("sigma", math.inf), ("sigma", 2.5),
+        ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", 1.5)])
+    def test_sigma_and_epsilon_domains(self, field, bad):
+        """sigma is an l1 gap between probability vectors, epsilon one bin's mass."""
+        with pytest.raises(InputError, match=field):
+            _params(**{field: bad})
+
+    def test_sigma_and_epsilon_domain_edges(self):
+        cert = coverage_bounds(_params(sigma=2.0, epsilon=1.0))
+        assert math.isfinite(cert.lower) and math.isfinite(cert.upper)
 
 
 class TestLowerBoundMonotone:
@@ -265,6 +266,12 @@ class TestPrecisionBound:
                                       k_m=4, k_b_tilde=7)
         with pytest.raises(InputError):
             estimator_precision_bound(0.02, 0.5, d=5.0, num_clients=10, k_b=6,
+                                      k_m=4, k_b_tilde=6)
+
+    @pytest.mark.parametrize("trace_sigma, ratio", [(math.nan, 1.0), (0.02, math.nan)])
+    def test_rejects_nan(self, trace_sigma, ratio):
+        with pytest.raises(InputError):
+            estimator_precision_bound(trace_sigma, ratio, d=5.0, num_clients=10, k_b=6,
                                       k_m=4, k_b_tilde=6)
 
 

@@ -137,6 +137,18 @@ class TestSimulate:
         assert err.startswith("ERROR:config:attack: ")
         assert out == ""
 
+    @pytest.mark.parametrize("key, raw", [("K", '"ten"'), ("K", "NaN"), ("H", "1e400"),
+                                          ("n_per_client", '"abc"'), ("signal", '"x"'),
+                                          ("signal", "NaN"), ("dirichlet_beta", "1e400")])
+    def test_malformed_number_is_a_config_error(self, capsys, tmp_path, key, raw):
+        config = {"K": 6, "k_m": 1, "n_per_client": 10, "C": 3, "H": 10, key: "@"}
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(config).replace('"@"', raw))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"ERROR:config:{key} must be ")
+        assert out == ""
+
 
 class TestCertify:
     BASE = ["certify", "--alpha", "0.1", "--beta", "0.05", "--H", "10",
@@ -152,11 +164,24 @@ class TestCertify:
         assert set(cert) == {"lower", "upper", "p_byz", "variant", "vacuous"}
 
     def test_variants(self, capsys):
-        for variant in ("homogeneous", "dkw"):
+        for variant in ("normal", "dkw"):
             code, out, _ = run_cli(capsys, *self.BASE, "--nb", "1000000",
                                    "--variant", variant)
             assert code == 0
             assert json.loads(out)["variant"] == variant
+
+    def test_homogeneous_variant_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, *self.BASE, "--nb", "1000000",
+                                 "--variant", "homogeneous")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:usage:")
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"),
+                                             ("--epsilon", "nan"), ("--epsilon", "inf")])
+    def test_non_finite_parameter_is_an_input_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, *self.BASE, "--nb", "1000000", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"ERROR:input:{flag[2:]} must lie in ")
 
     def test_overestimate_needs_reported(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE, "--nb", "1000000",
@@ -239,6 +264,18 @@ class TestEstimate:
             "converged": scan.converged,
             "cycled": scan.cycled,
         }, indent=2) + "\n"
+
+    @pytest.mark.parametrize("field, raw", [("n", "Infinity"), ("n", "NaN"), ("client_id", "1e400")])
+    def test_malformed_number_is_a_format_error(self, capsys, reports_path, tmp_path,
+                                                field, raw):
+        lines = open(reports_path, encoding="utf-8").read().splitlines()
+        payload = json.loads(lines[1])
+        lines[1] = json.dumps({**payload, field: "@"}).replace('"@"', raw)
+        path = tmp_path / "bad_number.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--reports", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"ERROR:format:{path}:2: invalid report: {field} must be ")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--reports",

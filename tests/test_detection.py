@@ -11,7 +11,6 @@ from robfcp.detection import (
     maliciousness_scores,
     pairwise_distances,
     rank_reports,
-    select_benign,
 )
 from robfcp.errors import InputError
 from robfcp.sketch import sketch_scores, uniform_bin_edges
@@ -155,28 +154,33 @@ class TestMaliciousnessScores:
         np.testing.assert_allclose(m_perm, m[perm])
 
 
+def _points(*xs):
+    """One-bin vectors at positions ``xs``: distances are plain gaps on a line."""
+    return np.array(xs, dtype=float)[:, None]
+
+
 class TestSelectBenign:
+    """rank_reports keeps the k_b lowest-scoring rows, ascending, ties to the lowest row."""
+
     def test_spec_of_hand_example(self):
-        ranking = select_benign(np.array([0.3, 0.2, 0.3, 1.7]), k_b=3)
-        assert ranking.benign_set == (0, 1, 2)
-        assert ranking.k_b_used == 3
+        # k_b=3 scores each row by its 2 nearest others: [1.5, 1.0, 1.5, 8.5]
+        assert rank_reports(_points(0, 1, 2, 10), k_b=3) == (0, 1, 2)
 
     def test_tie_break_lowest_id(self):
-        ranking = select_benign(np.array([1.0, 1.0, 1.0, 1.0]), k_b=2)
-        assert ranking.benign_set == (0, 1)
+        assert rank_reports(_points(0, 0, 0, 0), k_b=2) == (0, 1)
+        # rows 0, 1 and 2 all score 1.0 at k_b=2; the two lowest rows are kept
+        assert rank_reports(_points(2, 1, 0, 10), k_b=2) == (0, 1)
 
     def test_clear_outlier(self):
-        ranking = select_benign(np.array([5.0, 1.0, 1.0, 1.0]), k_b=3)
-        assert ranking.benign_set == (1, 2, 3)
+        assert rank_reports(_points(10, 0, 1, 2), k_b=3) == (1, 2, 3)
 
     def test_k_b_full_range(self):
-        scores = np.array([0.4, 0.1, 0.3])
-        assert select_benign(scores, 1).benign_set == (1,)
-        assert select_benign(scores, 3).benign_set == (0, 1, 2)
-        with pytest.raises(InputError):
-            select_benign(scores, 0)
-        with pytest.raises(InputError):
-            select_benign(scores, 4)
+        points = _points(0.4, 0.1, 0.3)
+        assert rank_reports(points, 2) == (0, 2)
+        assert rank_reports(points, 3) == (0, 1, 2)
+        for k_b in (1, 4):
+            with pytest.raises(InputError):
+                rank_reports(points, k_b)
 
 
 class TestRankReports:
@@ -194,8 +198,7 @@ class TestRankReports:
                 else:
                     scores = rng.uniform(0.8, 1.0, size=200)
                 reports.append(sketch_scores(cid, scores, edges))
-            ranking = rank_reports(reports, k_b=k - k_m, p=2)
-            assert ranking.benign_set == tuple(range(k - k_m))
+            assert rank_reports(reports, k_b=k - k_m, p=2) == tuple(range(k - k_m))
 
     def test_permutation_maps_ids(self):
         rng = np.random.default_rng(5)
@@ -203,10 +206,8 @@ class TestRankReports:
         base = [rng.uniform(0.0, 0.4, size=100) for _ in range(4)]
         base.append(rng.uniform(0.9, 1.0, size=100))
         reports = [sketch_scores(i, s, edges) for i, s in enumerate(base)]
-        ranking = rank_reports(reports, k_b=4)
-        assert ranking.benign_set == (0, 1, 2, 3)
+        assert rank_reports(reports, k_b=4) == (0, 1, 2, 3)
         # swap the outlier into slot 0
         swapped = [base[4], base[1], base[2], base[3], base[0]]
         reports2 = [sketch_scores(i, s, edges) for i, s in enumerate(swapped)]
-        ranking2 = rank_reports(reports2, k_b=4)
-        assert ranking2.benign_set == (1, 2, 3, 4)
+        assert rank_reports(reports2, k_b=4) == (1, 2, 3, 4)

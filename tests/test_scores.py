@@ -9,9 +9,8 @@ from robfcp.errors import InputError
 from robfcp.scores import (
     APS_BLOCK_ROWS,
     TestBatch,
-    aps_scores,
-    lac_scores,
-    label_score_matrix,
+    _aps_label_scores,
+    _aps_scores,
     score_batch,
     validate_probabilities,
 )
@@ -26,6 +25,17 @@ def aps_score(probs, label, u):
     """Oracle for one row: mass of the labels strictly above ``label`` plus ``u`` of its own."""
     p = np.asarray(probs, dtype=float)
     return float(p[p > p[label]].sum() + p[label] * u)
+
+
+def lac_scores(probs, labels):
+    """True-label ``lac`` scores through the public entry; ``lac`` draws nothing."""
+    return score_batch(probs, labels, "lac", np.random.default_rng(0))
+
+
+def aps_scores(probs, labels, u):
+    """The true-label ``aps`` kernel with an explicit ``u`` draw per row."""
+    return _aps_scores(np.asarray(probs, dtype=float), np.asarray(labels),
+                       np.asarray(u, dtype=float))
 
 
 class TestLac:
@@ -78,12 +88,6 @@ class TestAps:
         for i in range(30):
             assert batch[i] == pytest.approx(aps_score(probs[i], labels[i], u[i]))
 
-    def test_u_out_of_range(self):
-        with pytest.raises(InputError):
-            aps_scores([[0.5, 0.5]], [0], [1.5])
-        with pytest.raises(InputError):
-            aps_scores([[0.5, 0.5]], [0], [-0.1])
-
 
 class TestValidation:
     def test_rejects_bad_sums(self):
@@ -118,10 +122,10 @@ class TestValidation:
             validate_probabilities(np.full(shape, 0.5))
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(InputError):
-            lac_scores([[0.5, 0.5]], [2])
-        with pytest.raises(InputError):
-            lac_scores([[0.5, 0.5]], [-1])
+        for kind in ("lac", "aps"):
+            for labels in ([2], [-1], [0.5]):
+                with pytest.raises(InputError):
+                    score_batch([[0.5, 0.5]], labels, kind, np.random.default_rng(0))
 
 
 class TestBatchScores:
@@ -141,13 +145,10 @@ class TestBatchScores:
         u = np.random.default_rng(9).uniform(size=25)
         np.testing.assert_array_equal(
             score_batch(probs, labels, "aps", np.random.default_rng(9)),
-            aps_scores(probs, labels, u))
+            _aps_scores(probs, labels, u))
         np.testing.assert_array_equal(
             score_batch(probs, labels, "aps", np.random.default_rng(9), per_label=True),
-            label_score_matrix(probs, "aps", u))
-        np.testing.assert_array_equal(
-            score_batch(probs, labels, "lac", np.random.default_rng(9), per_label=True),
-            label_score_matrix(probs, "lac"))
+            _aps_label_scores(probs, u))
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
@@ -156,30 +157,34 @@ class TestBatchScores:
 
 
 class TestLabelScoreMatrix:
+    """``score_batch(per_label=True)``: every candidate label's score, and the aps kernel behind it."""
+
     def test_lac_is_one_minus_probs(self):
         rng = np.random.default_rng(2)
         p = rng.dirichlet(np.ones(4), size=10)
-        np.testing.assert_allclose(label_score_matrix(p, "lac"), 1.0 - p)
+        state = rng.bit_generator.state
+        m = score_batch(p, np.zeros(10, dtype=int), "lac", rng, per_label=True)
+        np.testing.assert_allclose(m, 1.0 - p)
+        assert rng.bit_generator.state == state
 
     def test_aps_matches_scalar_per_label(self):
         rng = np.random.default_rng(5)
         p = rng.dirichlet(np.ones(5), size=12)
         u = rng.uniform(size=12)
-        m = label_score_matrix(p, "aps", u)
+        m = _aps_label_scores(p, u)
         for i in range(12):
             for y in range(5):
                 assert m[i, y] == pytest.approx(aps_score(p[i], y, u[i]))
-
-    def test_aps_requires_u(self):
-        with pytest.raises(InputError):
-            label_score_matrix(np.array([[0.5, 0.5]]), "aps")
 
     def test_true_label_column_matches_batch(self):
         rng = np.random.default_rng(8)
         p = rng.dirichlet(np.ones(3), size=20)
         labels = rng.integers(0, 3, size=20)
-        m = label_score_matrix(p, "lac")
-        np.testing.assert_allclose(m[np.arange(20), labels], lac_scores(p, labels))
+        for kind in ("lac", "aps"):
+            m = score_batch(p, labels, kind, np.random.default_rng(1), per_label=True)
+            np.testing.assert_allclose(m[np.arange(20), labels],
+                                       score_batch(p, labels, kind, np.random.default_rng(1)),
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestTestBatch:
@@ -187,9 +192,8 @@ class TestTestBatch:
         rng = np.random.default_rng(4)
         p = rng.dirichlet(np.ones(3), size=15)
         labels = rng.integers(0, 3, size=15)
-        batch = TestBatch(label_score_matrix(p, "lac"), labels)
+        batch = TestBatch(score_batch(p, labels, "lac", rng, per_label=True), labels)
         assert len(batch) == 15
-        assert batch.num_classes == 3
         np.testing.assert_allclose(batch.true_label_scores, lac_scores(p, labels))
 
     def test_rejects_out_of_range_scores(self):
@@ -213,7 +217,7 @@ def _einsum_label_scores(p, u):
 
 
 def _unblocked_aps_scores(p, labels, u):
-    """The former aps_scores body: one (N, C) mask and product for the whole batch."""
+    """The former _aps_scores body: one (N, C) mask and product for the whole batch."""
     py = p[np.arange(p.shape[0]), labels]
     return (p * (p > py[:, None])).sum(axis=1) + py * u
 
@@ -249,13 +253,13 @@ class TestApsLabelMatrixOracle:
     @given(batch=softmax_rows())
     def test_matches_einsum(self, batch):
         p, _, u = batch
-        np.testing.assert_allclose(label_score_matrix(p, "aps", u), _einsum_label_scores(p, u),
+        np.testing.assert_allclose(_aps_label_scores(p, u), _einsum_label_scores(p, u),
                                    rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("u", [0.0, 0.3, 1.0])
     def test_ties_match_exactly(self, u):
         uu = np.full(len(TIED_ROWS), u)
-        m = label_score_matrix(TIED_ROWS, "aps", uu)
+        m = _aps_label_scores(TIED_ROWS, uu)
         np.testing.assert_array_equal(m, _einsum_label_scores(TIED_ROWS, uu))
         # tied labels share the mass strictly above them
         assert np.all(m[0] == 0.25 * u)
@@ -267,7 +271,7 @@ class TestApsLabelMatrixOracle:
     def test_monotone_in_rank(self, batch):
         """Scores follow the probability ranking, so every prediction set is nested."""
         p, _, u = batch
-        m = label_score_matrix(p, "aps", u)
+        m = _aps_label_scores(p, u)
         order = np.argsort(-p, axis=1, kind="stable")
         ranked_p = np.take_along_axis(p, order, axis=1)
         ranked_s = np.take_along_axis(m, order, axis=1)
@@ -279,17 +283,17 @@ class TestApsLabelMatrixOracle:
     @given(batch=softmax_rows())
     def test_true_label_column_matches_aps_scores(self, batch):
         p, labels, u = batch
-        m = label_score_matrix(p, "aps", u)
-        np.testing.assert_allclose(m[np.arange(len(labels)), labels], aps_scores(p, labels, u),
+        m = _aps_label_scores(p, u)
+        np.testing.assert_allclose(m[np.arange(len(labels)), labels], _aps_scores(p, labels, u),
                                    rtol=0.0, atol=1e-12)
 
     def test_empty_batch(self):
-        m = label_score_matrix(np.empty((0, 5)), "aps", np.empty(0))
+        m = _aps_label_scores(np.empty((0, 5)), np.empty(0))
         assert m.shape == (0, 5)
 
 
 class TestApsScoresBlocking:
-    """Row-blocked aps_scores is bit-identical to the one-shot formula."""
+    """Row-blocked _aps_scores is bit-identical to the one-shot formula."""
 
     @pytest.mark.parametrize("n", [0, 1, APS_BLOCK_ROWS - 1, APS_BLOCK_ROWS, APS_BLOCK_ROWS + 1,
                                    3 * APS_BLOCK_ROWS + 7])
@@ -298,5 +302,5 @@ class TestApsScoresBlocking:
         p = rng.dirichlet(np.full(37, 0.5), size=n).reshape(n, 37)
         labels = rng.integers(0, 37, size=n)
         u = rng.uniform(size=n)
-        np.testing.assert_array_equal(aps_scores(p, labels, u),
+        np.testing.assert_array_equal(_aps_scores(p, labels, u),
                                       _unblocked_aps_scores(p, labels, u))

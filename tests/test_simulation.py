@@ -398,10 +398,10 @@ class TestRobustCalibrate:
         reports, k_m = fed
         k = len(reports)
         if k_m > 0:
-            expected = rank_reports(reports, k - k_m).benign_set
+            expected = rank_reports(reports, k - k_m)
             assert robust_calibrate(reports, 0.2, k_m).selected == expected
         k_m_hat = estimate_malicious_count(reports).k_m_hat
-        expected = tuple(range(k)) if k_m_hat == 0 else rank_reports(reports, k - k_m_hat).benign_set
+        expected = tuple(range(k)) if k_m_hat == 0 else rank_reports(reports, k - k_m_hat)
         result = robust_calibrate(reports, 0.2)
         assert (result.selected, result.k_m_hat) == (expected, k_m_hat)
 
