@@ -219,7 +219,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p_sim.add_argument("--csv", default=None, help="also write flat per-trial CSV here")
     p_sim.add_argument("--sweep", default=None, help="key=a:b[:step] over an integer config key")
-    p_sim.add_argument("--threads", type=int, default=None)
+    p_sim.add_argument("--threads", type=int, default=None,
+                       help="worker processes for the trials (default: up to 4 cpus)")
 
     p_cert = sub.add_parser("certify", help="closed-form coverage bounds")
     p_cert.add_argument("--alpha", type=float, required=True)

@@ -33,9 +33,13 @@ class ConfigError(InputError):
 
 def _integer(name: str, value, low: int, high: int | None = None,
              error: type[InputError] = InputError) -> int:
-    """``value`` as an int in [low, high), or ``error`` naming the field: never a ValueError."""
+    """``value`` as an int in [low, high), or ``error`` naming the field: never a ValueError.
+
+    A boolean is not a count, so ``True`` is rejected rather than read as 1.
+    """
     try:
-        ok = int(value) == value and low <= value and (high is None or value < high)
+        ok = (not isinstance(value, bool) and int(value) == value
+              and low <= value and (high is None or value < high))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

@@ -10,7 +10,7 @@ draws rows from a synthetic classifier and tests on a fresh batch, while
 ``histogram_direct`` draws bin counts from a known law, so coverage is exact.
 Every random draw comes from a generator keyed by (seed, trial_index, role,
 client) as a ``SeedSequence`` spawn key, so no two (seed, trial) pairs share a
-stream and results do not depend on thread count or execution order.
+stream and results do not depend on the worker count or execution order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -395,9 +395,9 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: the request, or by default up to 4 cpus."""
-    if requested is not None and requested < 1:
-        raise InputError(f"worker count must be >= 1, got {requested}")
-    return requested if requested is not None else min(4, os.cpu_count() or 1)
+    if requested is None:
+        return min(4, os.cpu_count() or 1)
+    return _integer("max_workers", requested, 1)
 
 
 @dataclass(frozen=True)
@@ -433,12 +433,30 @@ def summarize(trials) -> dict:
 
 
 def monte_carlo(config: SimulationConfig, max_workers: int | None = None) -> MonteCarloResult:
-    """Run all trials (possibly in a thread pool) and reduce in trial order."""
+    """Run all trials and reduce in trial order.
+
+    One worker, or one trial, runs the trials in this process.  Otherwise
+    ``min(workers, trials)`` worker processes run them: a trial is many small
+    numpy calls that hold the interpreter lock, so threads would take turns on
+    one core.  On Linux the workers are forked, so they start with robfcp and
+    numpy already imported; elsewhere the platform's default start method
+    (``spawn``) re-imports them, and a script must call this under
+    ``if __name__ == "__main__":``.  A trial's streams depend only on its
+    index, so the result is the same for any worker count, and a trial's
+    error is raised here with its type and message.
+    """
     workers = resolve_workers(max_workers)
     indices = range(config.trials)
     if workers == 1 or config.trials == 1:
         trials = [run_trial(config, i) for i in indices]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(lambda i: run_trial(config, i), indices))
+        # Imported here so a serial run never pays for the process pool.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # Forking is safe although numpy has started OpenBLAS's idle threads:
+        # robfcp makes no BLAS call, so no child waits on their locks.
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        with ProcessPoolExecutor(min(workers, config.trials), mp_context=context) as pool:
+            trials = list(pool.map(partial(run_trial, config), indices))
     return MonteCarloResult(trials=tuple(trials), aggregates=summarize(trials))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestSimulate:
                 "--threads", "4")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trial_error_from_a_worker_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps({"K": 4, "k_m": 1, "n_per_client": 2, "C": 3, "H": 4,
+                                    "alpha": 0.1, "trials": 3}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--threads", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR:input:alpha=0.1 below admissibility floor")
+        assert multiprocessing.active_children() == []
+
     def test_sweep(self, capsys, config_path, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
@@ -139,7 +149,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, raw", [("K", '"ten"'), ("K", "NaN"), ("H", "1e400"),
                                           ("n_per_client", '"abc"'), ("signal", '"x"'),
-                                          ("signal", "NaN"), ("dirichlet_beta", "1e400")])
+                                          ("signal", "NaN"), ("dirichlet_beta", "1e400"),
+                                          ("trials", "true")])
     def test_malformed_number_is_a_config_error(self, capsys, tmp_path, key, raw):
         config = {"K": 6, "k_m": 1, "n_per_client": 10, "C": 3, "H": 10, key: "@"}
         path = tmp_path / "bad_number.json"

@@ -4,8 +4,10 @@ Each case runs the CLI on ``golden/<case>.config.json`` and compares the JSON
 report and the per-trial CSV with ``golden/<case>.report.json`` and
 ``golden/<case>.trials.csv`` byte for byte.  The cases cover every attack,
 both modes, lac and aps, a known and an estimated malicious count, and the
-``--sweep`` path.  A change that moves a simulated number on purpose
-re-records the files and says why:
+``--sweep`` path.  Each case runs in-process (``--threads 1``) and through the
+worker pool (``--threads 2``) against the same files; recording uses
+``--threads 1``.  A change that moves a simulated number on purpose re-records
+the files and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,10 +33,10 @@ CASES = {
 }
 
 
-def _simulate(case: str, out_dir: Path) -> tuple[Path, Path]:
+def _simulate(case: str, out_dir: Path, threads: int = 1) -> tuple[Path, Path]:
     report, trials = out_dir / f"{case}.report.json", out_dir / f"{case}.trials.csv"
     argv = ["simulate", "--config", str(GOLDEN / f"{case}.config.json"),
-            "--out", str(report), "--csv", str(trials), "--threads", "1"]
+            "--out", str(report), "--csv", str(trials), "--threads", str(threads)]
     if CASES[case] is not None:
         argv += ["--sweep", CASES[case]]
     if main(argv) != 0:
@@ -42,9 +44,11 @@ def _simulate(case: str, out_dir: Path) -> tuple[Path, Path]:
     return report, trials
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_simulate_output_is_byte_identical(case, tmp_path):
-    for produced in _simulate(case, tmp_path):
+@pytest.mark.parametrize("case, threads", [
+    pytest.param(case, threads, id=case if threads == 1 else f"{case}-threads{threads}")
+    for threads in (1, 2) for case in sorted(CASES)])
+def test_simulate_output_is_byte_identical(case, threads, tmp_path):
+    for produced in _simulate(case, tmp_path, threads):
         assert produced.read_bytes() == (GOLDEN / produced.name).read_bytes(), produced.name
 
 

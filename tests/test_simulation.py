@@ -1,5 +1,6 @@
 """Tests for the seeded federated simulation harness."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -414,10 +415,25 @@ class TestMonteCarlo:
         parallel = monte_carlo(cfg, max_workers=4)
         assert serial.trials == parallel.trials
         assert serial.aggregates == parallel.aggregates
+        assert multiprocessing.active_children() == []
 
     def test_trials_ordered_by_index(self):
         result = monte_carlo(_config(trials=4, n_test=100, n_per_client=100), max_workers=2)
         assert [t.trial_index for t in result.trials] == [0, 1, 2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_trial_error_crosses_the_worker_boundary(self):
+        """A trial's error is the same in-process and from a worker, and no worker outlives it."""
+        # Valid config, but 8 calibration rows cannot reach alpha=0.1 in any trial.
+        cfg = _config(K=4, k_m=1, n_per_client=2, C=3, H=4, alpha=0.1, trials=3)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(InputError) as info:
+                monte_carlo(cfg, max_workers=workers)
+            raised.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1]
+        assert raised[0][1].startswith("alpha=0.1 below admissibility floor 0.333333")
 
     def test_aggregates_match_manual_summary(self):
         result = monte_carlo(_config(trials=3, n_test=150, n_per_client=150))
@@ -439,5 +455,6 @@ class TestWorkerResolution:
 
     def test_request_validation(self):
         assert resolve_workers(None) >= 1
-        with pytest.raises(InputError):
-            resolve_workers(0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(InputError, match="max_workers"):
+                resolve_workers(bad)
