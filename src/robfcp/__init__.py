@@ -18,8 +18,8 @@ from .errors import ConfigError, FormatError, InputError, RobfcpError
 from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
 from .scores import TestBatch, score_batch
 from .simulation import (CalibrationResult, ClientProfile, MonteCarloResult, SimulationConfig,
-                         TrialReport, dirichlet_mixture, generate_client_data, monte_carlo,
-                         robust_calibrate, run_trial)
+                         TrialReport, generate_client_data, monte_carlo, robust_calibrate,
+                         run_trial)
 from .sketch import (ClientReport, histogram_characterize, reconstruct_counts, report_from_json,
                      report_to_json, sketch_scores, uniform_bin_edges)
 
@@ -30,11 +30,11 @@ __all__ = [
     "ClientProfile", "ClientReport", "ConfigError", "CountEstimate", "CoverageCertificate",
     "EvalMetrics", "FormatError", "InputError", "MonteCarloResult", "QuantileEstimate",
     "RobfcpError", "SimulationConfig", "TestBatch", "TrialReport", "aggregate", "apply_attack",
-    "config_echo", "coverage_bounds", "coverage_bounds_dkw", "dirichlet_mixture",
-    "estimate_benign_count", "estimate_malicious_count", "estimator_precision_bound",
-    "evaluate", "federated_quantile", "generate_client_data", "heterogeneity_sigma",
-    "histogram_characterize", "looks_all_benign", "maliciousness_scores", "monte_carlo",
-    "objective_T", "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
+    "config_echo", "coverage_bounds", "coverage_bounds_dkw", "estimate_benign_count",
+    "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",
+    "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
+    "looks_all_benign", "maliciousness_scores", "monte_carlo", "objective_T",
+    "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
     "read_reports", "reconstruct_counts", "report_from_json", "report_to_json",
     "reports_from_csv", "robust_calibrate", "run_trial", "score_batch", "sketch_epsilon",
     "sketch_scores", "uniform_bin_edges", "write_reports",

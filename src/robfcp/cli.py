@@ -185,6 +185,7 @@ def cmd_estimate(args) -> None:
         "iterations": estimate.iterations,
         "converged": estimate.converged,
         "cycled": estimate.cycled,
+        "all_benign": estimate.all_benign,
     }
     _emit(json.dumps(payload, indent=2), args.out)
 

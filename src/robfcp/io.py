@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, _integer
 from .scores import score_batch, validate_probabilities
 from .simulation import SimulationConfig
 from .sketch import ClientReport, report_from_json, report_to_json, sketch_scores, uniform_bin_edges
@@ -73,6 +73,8 @@ def read_probability_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
                 probs = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if cid < 0:
+                raise FormatError(f"{path}:{lineno}: client_id {cid} is negative")
             if not 0 <= label < num_classes:
                 raise FormatError(f"{path}:{lineno}: label {label} outside [0, {num_classes - 1}]")
             rows.setdefault(cid, []).append((label, probs))
@@ -95,8 +97,10 @@ def reports_from_csv(path, score_kind: str = "lac", num_bins: int = 100,
     """Score every CSV row and sketch each client's scores on a uniform grid.
 
     ``aps`` randomization for client ``cid`` comes from a generator keyed by
-    ``(seed, cid)``.
+    ``(seed, cid)``; ``seed`` must be a non-negative integer even when nothing
+    is drawn.
     """
+    seed = _integer("seed", seed, 0)
     edges = uniform_bin_edges(num_bins)
     per_client = read_probability_csv(path)
     reports = []
@@ -133,11 +137,6 @@ def _attack_from_value(value) -> AttackSpec:
         raise ConfigError(f"attack: {exc}") from None
 
 
-def fresh_seed() -> int:
-    """A random 63-bit seed for configs that omit one."""
-    return int(np.random.SeedSequence().entropy % (2 ** 63))
-
-
 def config_from_dict(payload: dict) -> SimulationConfig:
     """Build a validated config from parsed JSON, rejecting unknown keys by name."""
     if not isinstance(payload, dict):
@@ -152,7 +151,8 @@ def config_from_dict(payload: dict) -> SimulationConfig:
     if "attack" in values:
         values["attack"] = _attack_from_value(values["attack"])
     if "seed" not in values:
-        values["seed"] = fresh_seed()
+        # A random 63-bit seed; config_echo records it, so the run can be replayed.
+        values["seed"] = int(np.random.SeedSequence().entropy % (2 ** 63))
     try:
         return SimulationConfig(**values)
     except TypeError as exc:

@@ -36,7 +36,6 @@ from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 MODES = ("sample", "histogram_direct")
 
 # Stream roles for per-trial generator derivation.
-_ROLE_MIXTURE = 0
 _ROLE_DATA = 1
 _ROLE_ATTACK = 2
 _ROLE_TEST = 3
@@ -85,7 +84,6 @@ class SimulationConfig:
     H: int = 100
     alpha: float = 0.1
     beta: float = 0.05
-    dirichlet_beta: float = 0.5
     signal: float | tuple[float, ...] = 2.0
     score_kind: str = "lac"
     attack: AttackSpec = field(default_factory=AttackSpec)
@@ -102,9 +100,8 @@ class SimulationConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), low,
                                                     error=ConfigError))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MAX_SEED, ConfigError))
-        for name, low, high in (("alpha", 0.0, 1.0), ("beta", 0.0, 1.0),
-                                ("dirichlet_beta", 0.0, math.inf)):
-            object.__setattr__(self, name, _real(name, getattr(self, name), low, high))
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
         if self.k_m >= self.K - self.k_m:
             raise ConfigError(
                 f"malicious clients must be a strict minority: k_m={self.k_m} with K={self.K}")
@@ -139,29 +136,8 @@ class ClientProfile:
     """One client's data-generating parameters."""
 
     client_id: int
-    mixture: np.ndarray  # (C,) class mixture
     signal: float
     n: int
-
-
-def dirichlet_mixture(num_classes: int, num_clients: int, beta: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Client class mixtures from per-class Dirichlet shares.
-
-    Each class's mass is split across clients with a Dirichlet(beta) draw;
-    client j's mixture is its column of shares, renormalized.  Small beta
-    concentrates classes on few clients.  Returns a (K, C) row-stochastic
-    matrix.
-    """
-    if num_classes < 2:
-        raise InputError(f"need at least 2 classes, got {num_classes}")
-    if num_clients < 1:
-        raise InputError(f"need at least 1 client, got {num_clients}")
-    if not beta > 0.0:
-        raise InputError(f"dirichlet beta must be positive, got {beta}")
-    shares = rng.dirichlet(np.full(num_clients, beta), size=num_classes)  # (C, K)
-    mixtures = shares.T
-    return mixtures / mixtures.sum(axis=1, keepdims=True)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -176,10 +152,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _draw_rows(mixture: np.ndarray, signal: float, n: int, rng: np.random.Generator):
-    """Labels from the mixture and softmax probabilities with a boosted true logit."""
-    num_classes = mixture.size
-    labels = rng.choice(num_classes, size=n, p=mixture)
+def _draw_rows(num_classes: int, signal: float, n: int, rng: np.random.Generator):
+    """Uniform labels and softmax probabilities with a boosted true logit."""
+    labels = rng.integers(num_classes, size=n)
     logits = rng.standard_normal((n, num_classes))
     logits[np.arange(n), labels] += signal
     return _softmax(logits), labels
@@ -188,9 +163,7 @@ def _draw_rows(mixture: np.ndarray, signal: float, n: int, rng: np.random.Genera
 def generate_client_data(profile: ClientProfile, num_classes: int, score_kind: str,
                          rng: np.random.Generator) -> np.ndarray:
     """True-label calibration scores of ``profile.n`` fresh rows of one client."""
-    if profile.mixture.size != num_classes:
-        raise InputError("profile mixture length does not match num_classes")
-    probs, labels = _draw_rows(profile.mixture, profile.signal, profile.n, rng)
+    probs, labels = _draw_rows(num_classes, profile.signal, profile.n, rng)
     return _score_batch(probs, labels, score_kind, rng)
 
 
@@ -264,16 +237,14 @@ def _certificate(mode, selected, reports_by_id) -> CoverageCertificate:
 class _SampleMode:
     """Clients draw rows from the synthetic classifier and sketch their scores.
 
-    The logits are iid N(0, 1) plus ``signal`` on the true label, and the
-    mixture only picks which label is true: a client's score law, and so its
-    expected characterization vector, depends on its signal alone.
+    Labels are uniform and the logits are iid N(0, 1) plus ``signal`` on the
+    true label: a client's score law, and so its expected characterization
+    vector, depends on its signal alone.
     """
 
     def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
         self.config, self.rng, self.edges = config, rng, edges
-        mixtures = dirichlet_mixture(config.C, config.K, config.dirichlet_beta,
-                                     rng(_ROLE_MIXTURE))
-        self.profiles = [ClientProfile(i, mixtures[i], config.signal[i], config.n_per_client[i])
+        self.profiles = [ClientProfile(i, config.signal[i], config.n_per_client[i])
                          for i in range(config.K)]
 
     def scores(self, i: int) -> np.ndarray:
@@ -298,14 +269,13 @@ class _SampleMode:
     def reference_vector(self, i: int) -> np.ndarray:
         """Monte-Carlo estimate of the bin masses of client i's score law."""
         rng = self.rng(_ROLE_SIGMA, i)
-        profile = self.profiles[i]
-        probs, labels = _draw_rows(profile.mixture, profile.signal, _SIGMA_REFERENCE_N, rng)
+        probs, labels = _draw_rows(self.config.C, self.config.signal[i], _SIGMA_REFERENCE_N, rng)
         counts, _ = np.histogram(_score_batch(probs, labels, self.config.score_kind, rng),
                                  bins=self.edges)
         return counts / _SIGMA_REFERENCE_N
 
     def evaluate(self, quantiles) -> list[EvalMetrics]:
-        """Each threshold on one test batch: benign mixture, client weights n_k + 1."""
+        """Each threshold on one test batch drawn from the benign clients, weights n_k + 1."""
         config = self.config
         weights = np.array([self.profiles[i].n + 1.0 for i in config.benign_ids])
         weights /= weights.sum()
@@ -315,8 +285,7 @@ class _SampleMode:
             if count == 0:
                 continue
             gen = self.rng(_ROLE_TEST, i)
-            probs, labels = _draw_rows(self.profiles[i].mixture, self.profiles[i].signal,
-                                       int(count), gen)
+            probs, labels = _draw_rows(config.C, config.signal[i], int(count), gen)
             score_rows.append(_score_batch(probs, labels, config.score_kind, gen, per_label=True))
             label_rows.append(labels)
         test = TestBatch(np.concatenate(score_rows), np.concatenate(label_rows))

@@ -149,7 +149,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, raw", [("K", '"ten"'), ("K", "NaN"), ("H", "1e400"),
                                           ("n_per_client", '"abc"'), ("signal", '"x"'),
-                                          ("signal", "NaN"), ("dirichlet_beta", "1e400"),
+                                          ("signal", "NaN"), ("alpha", "1e400"),
                                           ("trials", "true")])
     def test_malformed_number_is_a_config_error(self, capsys, tmp_path, key, raw):
         config = {"K": 6, "k_m": 1, "n_per_client": 10, "C": 3, "H": 10, key: "@"}
@@ -159,6 +159,15 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"ERROR:config:{key} must be ")
         assert out == ""
+
+    def test_removed_dirichlet_beta_key_is_rejected(self, capsys, tmp_path):
+        """Labels are uniform in sample mode; the old class-mixture knob is an unknown key."""
+        path = tmp_path / "dirichlet.json"
+        path.write_text(json.dumps({"K": 6, "k_m": 1, "n_per_client": 10, "C": 3,
+                                    "dirichlet_beta": 0.5}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "ERROR:config:unknown config key: 'dirichlet_beta'\n"
 
 
 class TestCertify:
@@ -234,6 +243,7 @@ class TestEstimate:
         zs = [z for z, _ in payload["objective_trace"]]
         assert zs == [6, 7, 8, 9]
         assert payload["converged"] is True and payload["cycled"] is False
+        assert payload["all_benign"] is False
         assert payload["iterations"] >= 1
 
     def test_reports_max_iter_exhaustion(self, capsys, reports_path):
@@ -274,6 +284,7 @@ class TestEstimate:
             "iterations": scan.iterations,
             "converged": scan.converged,
             "cycled": scan.cycled,
+            "all_benign": True,
         }, indent=2) + "\n"
 
     @pytest.mark.parametrize("field, raw", [("n", "Infinity"), ("n", "NaN"), ("client_id", "1e400")])
@@ -345,6 +356,23 @@ class TestCalibrate:
         payload = json.loads(out)
         assert payload["benign_set"] == [0, 1, 2, 3]
         assert 0.0 < payload["q_hat"] <= 1.0
+
+    def test_negative_client_id_in_csv_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("client_id,label,p_0,p_1\n0,0,0.6,0.4\n-1,1,0.3,0.7\n")
+        code, out, err = run_cli(capsys, "calibrate", "--csv", str(path),
+                                 "--alpha", "0.5", "--kb", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR:format:{path}:3: client_id -1 ")
+
+    def test_negative_seed_is_an_input_error(self, capsys, tmp_path):
+        """The seed is checked for lac too, which draws nothing."""
+        path = tmp_path / "probs.csv"
+        path.write_text("client_id,label,p_0,p_1\n0,0,0.6,0.4\n1,1,0.3,0.7\n")
+        code, out, err = run_cli(capsys, "calibrate", "--csv", str(path), "--alpha", "0.5",
+                                 "--kb", "2", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:input:seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("ids", ["offset", "rotated"])
     @pytest.mark.parametrize("mode", [["--kb", "7"], ["--estimate-km"]])

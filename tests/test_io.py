@@ -14,7 +14,6 @@ from robfcp.errors import ConfigError, FormatError
 from robfcp.io import (
     config_echo,
     config_from_dict,
-    fresh_seed,
     parse_config,
     read_probability_csv,
     read_reports,
@@ -199,10 +198,6 @@ class TestConfigFiles:
         b = config_from_dict(dict(self.MINIMAL))
         assert 0 <= a.seed < 2 ** 63
         assert a.seed != b.seed
-
-    def test_fresh_seed_range(self):
-        for _ in range(5):
-            assert 0 <= fresh_seed() < 2 ** 63
 
     def test_parse_config_round_trips_echo(self, tmp_path):
         cfg = config_from_dict(dict(self.MINIMAL, seed=9, attack="efficiency",

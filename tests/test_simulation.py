@@ -23,7 +23,6 @@ from robfcp.simulation import (
     ClientProfile,
     SimulationConfig,
     _softmax,
-    dirichlet_mixture,
     generate_client_data,
     monte_carlo,
     resolve_workers,
@@ -82,20 +81,8 @@ class TestConfigValidation:
 
 
 class TestDataGeneration:
-    def test_dirichlet_mixture_is_row_stochastic(self):
-        rng = np.random.default_rng(42)
-        m = dirichlet_mixture(6, 10, 0.5, rng)
-        assert m.shape == (10, 6)
-        np.testing.assert_allclose(m.sum(axis=1), 1.0)
-        assert m.min() >= 0.0
-
-    def test_dirichlet_mixture_deterministic(self):
-        a = dirichlet_mixture(4, 5, 0.5, np.random.default_rng(7))
-        b = dirichlet_mixture(4, 5, 0.5, np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-
     def test_scores_live_on_unit_interval(self):
-        profile = ClientProfile(0, np.full(5, 0.2), 2.0, 500)
+        profile = ClientProfile(0, 2.0, 500)
         for kind in ("lac", "aps"):
             scores = generate_client_data(profile, 5, kind, np.random.default_rng(1))
             assert scores.shape == (500,)
@@ -103,8 +90,8 @@ class TestDataGeneration:
 
     def test_signal_sharpens_scores(self):
         """Stronger true-class logit boost drives the true-label score down."""
-        profile_weak = ClientProfile(0, np.full(5, 0.2), 0.0, 4000)
-        profile_strong = ClientProfile(0, np.full(5, 0.2), 3.0, 4000)
+        profile_weak = ClientProfile(0, 0.0, 4000)
+        profile_strong = ClientProfile(0, 3.0, 4000)
         weak = generate_client_data(profile_weak, 5, "lac", np.random.default_rng(3))
         strong = generate_client_data(profile_strong, 5, "lac", np.random.default_rng(3))
         assert strong.mean() < weak.mean()
@@ -112,7 +99,7 @@ class TestDataGeneration:
         assert weak.mean() == pytest.approx(1.0 - 0.2, abs=0.02)
 
     def test_aps_uses_randomization(self):
-        profile = ClientProfile(0, np.full(4, 0.25), 1.0, 300)
+        profile = ClientProfile(0, 1.0, 300)
         lac = generate_client_data(profile, 4, "lac", np.random.default_rng(9))
         aps = generate_client_data(profile, 4, "aps", np.random.default_rng(9))
         assert not np.allclose(lac, aps)
