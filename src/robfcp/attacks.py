@@ -28,6 +28,8 @@ from .errors import InputError
 from .sketch import ClientReport, histogram_characterize, validate_edges
 
 ATTACK_KINDS = ("none", "coverage", "efficiency", "gaussian", "mimic")
+#: The kinds that draw from the generator passed to :func:`apply_attack`.
+DRAWING_KINDS = ("gaussian", "mimic")
 DIRECTION_OVERRIDES = ("mass_low", "mass_high")
 
 
@@ -57,15 +59,18 @@ def _point_mass(num_bins: int, bin_index: int) -> np.ndarray:
     return v
 
 
-def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random.Generator,
+def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random.Generator | None,
                  benign_scores=None, benign_reports=None) -> ClientReport:
     """Produce the report a malicious client submits.
 
     ``benign_scores`` is the attacker's own raw score set (required for
     ``gaussian`` and ``none``); ``benign_reports`` is the list of honest
     reports visible on the wire (required for ``mimic``).  ``n`` is the trusted
-    sample count and is carried into the report unchanged.
+    sample count and is carried into the report unchanged.  ``rng`` may be None
+    for a kind not in :data:`DRAWING_KINDS`.
     """
+    if rng is None and spec.kind in DRAWING_KINDS:
+        raise InputError(f"the {spec.kind} attack draws from a generator, got rng=None")
     e = validate_edges(edges)
     num_bins = e.size - 1
 
@@ -94,6 +99,6 @@ def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random
     if not reports:
         raise InputError("the mimic attack requires at least one benign report to copy")
     source = reports[int(rng.integers(len(reports)))]
-    if not np.array_equal(source.edges, e):
+    if not (source.edges is e or np.array_equal(source.edges, e)):
         raise InputError("mimic source report uses different bin edges")
-    return ClientReport(client_id=client_id, n=n, v=source.v.copy(), edges=e)
+    return ClientReport(client_id=client_id, n=n, v=source.v, edges=e)

@@ -24,10 +24,10 @@ from .sketch import ClientReport
 def as_vector_matrix(reports) -> np.ndarray:
     """Stack reports (or raw vectors) into a (K, H) float matrix of finite entries.
 
-    Accepts a list of :class:`ClientReport` with identical edges, a list of
-    1-d arrays, or an already-stacked 2-d array.  A NaN or infinite entry is
-    an :class:`InputError` here rather than a NaN distance or objective
-    further down.
+    Accepts a list of :class:`ClientReport` with identical edges (compared by
+    identity first), a list of 1-d arrays, or an already-stacked 2-d array
+    (uncopied if float).  A NaN or infinite entry is an :class:`InputError`
+    here rather than a NaN distance or objective further down.
     """
     if isinstance(reports, np.ndarray) and reports.ndim == 2:
         x = np.asarray(reports, dtype=float)
@@ -38,7 +38,7 @@ def as_vector_matrix(reports) -> np.ndarray:
         if isinstance(items[0], ClientReport):
             edges = items[0].edges
             for r in items[1:]:
-                if not np.array_equal(r.edges, edges):
+                if not (r.edges is edges or np.array_equal(r.edges, edges)):
                     raise InputError("all reports must share the same bin edges")
             x = np.stack([r.v for r in items])
         else:
@@ -65,7 +65,8 @@ def pairwise_distances(reports, p=2) -> np.ndarray:
     d = np.zeros((k, k))
     for i in range(k - 1):
         row = vectors[i + 1:] - vectors[i]
-        np.abs(row, out=row)
+        if p != 2:  # squaring is sign-exact; numpy's SIMD pow for even p > 2 is not
+            np.abs(row, out=row)
         row **= p
         dist = row.sum(axis=1) ** (1.0 / p)
         d[i, i + 1:] = dist

@@ -24,11 +24,11 @@ from functools import partial
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack
+from .attacks import DRAWING_KINDS, AttackSpec, apply_attack
 from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
-from .detection import rank_reports
+from .detection import as_vector_matrix, rank_reports
 from .errors import ConfigError, InputError, _integer
 from .scores import SCORE_KINDS, TestBatch, _score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
@@ -185,15 +185,16 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
     ids in ascending order, whatever the order of ``reports``.  A ``k_m``
     outside ``[0, len(reports) - 2]`` is an :class:`InputError`, and
     ``alpha`` must be admissible for the whole federation as well as for the
-    kept clients.
+    kept clients.  The vectors are stacked once, if the estimate or screen runs.
     """
     reports = list(reports)
+    vectors = None if k_m == 0 else as_vector_matrix(reports)
     if k_m is None:
-        k_m = estimate_malicious_count(reports, p=p).k_m_hat
+        k_m = estimate_malicious_count(vectors, p=p).k_m_hat
     if k_m == 0:
         rows = range(len(reports))
     else:
-        rows = rank_reports(reports, len(reports) - k_m, p=p)
+        rows = rank_reports(vectors, len(reports) - k_m, p=p)
     selected = tuple(sorted(reports[row].client_id for row in rows))
     return CalibrationResult(
         selected=selected, k_m_hat=int(k_m),
@@ -343,11 +344,12 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
 
     benign_reports = [mode.honest_report(i) for i in config.benign_ids]
     reports = list(benign_reports)
+    draws = config.attack.kind in DRAWING_KINDS
     for i in config.malicious_ids:
         # Only these attacks forge from the client's own raw scores.
         own = mode.scores(i) if config.attack.kind in ("gaussian", "none") else None
         reports.append(apply_attack(config.attack, i, config.n_per_client[i], edges,
-                                    rng(_ROLE_ATTACK, i),
+                                    rng(_ROLE_ATTACK, i) if draws else None,
                                     benign_scores=own, benign_reports=benign_reports))
 
     result = robust_calibrate(reports, config.alpha,

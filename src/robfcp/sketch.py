@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def validate_edges(edges) -> np.ndarray:
         raise InputError("edges must be a 1-d array of at least 2 values")
     if e[0] != 0.0 or e[-1] != 1.0:
         raise InputError("edges must start at 0.0 and end at 1.0")
-    if np.any(np.diff(e) <= 0):
+    if not (e[1:] > e[:-1]).all():  # also False for a NaN edge
         raise InputError("edges must be strictly increasing")
     return e
 
@@ -55,7 +56,7 @@ def histogram_characterize(scores, edges) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClientReport:
-    """One client's sketched calibration set: id, trusted sample count, grid, vector."""
+    """One client's sketched calibration set: id, trusted sample count, grid, read-only vector."""
 
     client_id: int
     n: int
@@ -65,13 +66,14 @@ class ClientReport:
     def __post_init__(self):
         client_id, n = _integer("client_id", self.client_id, 0), _integer("n", self.n, 1)
         edges = validate_edges(self.edges)
-        v = np.asarray(self.v, dtype=float)
+        v = np.array(self.v, dtype=float)
         if v.shape != (edges.size - 1,):
             raise InputError(f"vector of shape {v.shape} does not match {edges.size - 1} bins")
-        if not np.all(np.isfinite(v)) or v.min() < 0.0:
+        if not np.isfinite(v).all() or v.min() < 0.0:
             raise InputError("characterization entries must be finite and non-negative")
         if abs(v.sum() - 1.0) > VECTOR_ATOL:
             raise InputError("characterization entries must sum to 1 within 1e-9")
+        v.flags.writeable = False
         object.__setattr__(self, "client_id", client_id)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "v", v)
@@ -80,6 +82,11 @@ class ClientReport:
     @property
     def num_bins(self) -> int:
         return self.v.size
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """:func:`reconstruct_counts` of this report, computed once: ``v`` is a read-only copy."""
+        return reconstruct_counts(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClientReport):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from robfcp.attacks import AttackSpec, apply_attack
+from robfcp.attacks import DRAWING_KINDS, AttackSpec, apply_attack
 from robfcp.errors import InputError
 from robfcp.sketch import sketch_scores, uniform_bin_edges
 
@@ -132,3 +132,17 @@ def test_n_is_trusted_metadata():
     for kind in ("coverage", "efficiency"):
         r = apply_attack(AttackSpec(kind), 0, 1234, EDGES, _rng())
         assert r.n == 1234
+
+
+class TestGeneratorArgument:
+    @pytest.mark.parametrize("kind", DRAWING_KINDS)
+    def test_drawing_kind_rejects_no_generator(self, kind):
+        honest = [sketch_scores(0, [0.1, 0.6], EDGES)]
+        with pytest.raises(InputError, match=f"the {kind} attack .* rng=None"):
+            apply_attack(AttackSpec(kind), 1, 2, EDGES, None,
+                         benign_scores=[0.1, 0.6], benign_reports=honest)
+
+    @pytest.mark.parametrize("kind", ["none", "coverage", "efficiency"])
+    def test_other_kinds_accept_no_generator(self, kind):
+        r = apply_attack(AttackSpec(kind), 1, 2, EDGES, None, benign_scores=[0.1, 0.6])
+        assert (r.client_id, r.n) == (1, 2)

@@ -50,6 +50,15 @@ class TestAggregate:
         assert agg.num_clients == 2
         assert agg.total_n == 100
 
+    def test_edges_compared_by_value(self):
+        """Equal edges in distinct arrays aggregate; edges of other values do not."""
+        reports = [sketch_scores(i, [0.1, 0.9], uniform_bin_edges(4)) for i in range(2)]
+        assert reports[0].edges is not reports[1].edges
+        assert aggregate(reports).total_n == 4
+        other = sketch_scores(2, [0.1, 0.9], [0.0, 0.2, 0.5, 0.75, 1.0])
+        with pytest.raises(InputError, match="same bin edges"):
+            aggregate(reports + [other])
+
     def test_rejects_duplicate_ids(self):
         edges = uniform_bin_edges(4)
         r = sketch_scores(0, [0.1, 0.9], edges)

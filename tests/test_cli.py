@@ -323,6 +323,16 @@ class TestCalibrate:
         assert payload["k_m_hat"] == 3
         assert payload["benign_set"] == [0, 1, 2, 3, 4, 5, 6]
 
+    def test_nan_edge_is_a_format_error(self, capsys, tmp_path):
+        """A NaN interior edge is caught on its line, not later as mismatched grids."""
+        path = tmp_path / "nan_edges.jsonl"
+        line = '{"client_id": %d, "n": 10, "edges": [0.0, NaN, 1.0], "v": [0.5, 0.5]}\n'
+        path.write_text("".join(line % i for i in range(3)))
+        code, out, err = run_cli(capsys, "calibrate", "--reports", str(path),
+                                 "--alpha", "0.5", "--kb", "3")
+        assert code == 2 and out == ""
+        assert err == f"ERROR:format:{path}:1: invalid report: edges must be strictly increasing\n"
+
     def test_requires_exactly_one_source(self, capsys, reports_path, tmp_path):
         code, _, err = run_cli(capsys, "calibrate", "--alpha", "0.1", "--kb", "7")
         assert code == 2 and err.startswith("ERROR:usage:")

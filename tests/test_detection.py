@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robfcp.detection import (
+    as_vector_matrix,
     maliciousness_scores,
     pairwise_distances,
     rank_reports,
@@ -91,12 +92,22 @@ class TestPairwiseDistances:
         with pytest.raises(InputError):
             pairwise_distances([a, b])
 
+    def test_edges_compared_by_value(self):
+        """Equal edges in distinct arrays stack; edges of other values do not."""
+        a = sketch_scores(0, [0.1], uniform_bin_edges(4))
+        b = sketch_scores(1, [0.6], uniform_bin_edges(4))
+        assert a.edges is not b.edges
+        np.testing.assert_array_equal(as_vector_matrix([a, b]), [a.v, b.v])
+        c = sketch_scores(2, [0.1], [0.0, 0.2, 0.5, 0.75, 1.0])
+        with pytest.raises(InputError, match="same bin edges"):
+            as_vector_matrix([a, b, c])
+
 
 class TestRowSweepMatchesBroadcast:
     """The row-swept kernel is bit-identical to the broadcast formula."""
 
     @SWEEP
-    @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3)))
+    @given(vectors=vector_sets(), p=st.sampled_from((1, 2, 3, 4)))
     def test_bit_identical(self, vectors, p):
         d = pairwise_distances(vectors, p=p)
         assert np.array_equal(d, _broadcast_pairwise(vectors, p))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robfcp import simulation
+from robfcp import simulation, sketch
 from robfcp.attacks import AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
 from robfcp.certify import coverage_bounds, heterogeneity_sigma
@@ -168,6 +168,24 @@ class TestRunTrial:
         report = run_trial(cfg, 0)
         assert report.k_m_hat == 3
         assert report.detection_exact
+
+    def test_unknown_count_trial_touches_each_report_once(self, monkeypatch):
+        """Each report is reconstructed once, and a coverage forgery gets no generator."""
+        reconstructed, roles = [], []
+        reconstruct, make_rng = sketch.reconstruct_counts, simulation._rng
+
+        def counted(report):
+            reconstructed.append(report.client_id)
+            return reconstruct(report)
+
+        for name, module in list(sys.modules.items()):  # wherever robfcp binds the function
+            if name.startswith("robfcp") and vars(module).get("reconstruct_counts") is reconstruct:
+                monkeypatch.setattr(module, "reconstruct_counts", counted)
+        monkeypatch.setattr(simulation, "_rng", lambda *key: roles.append(key[2]) or make_rng(*key))
+        report = run_trial(_config(K=10, k_m=3, attack=AttackSpec("coverage"), km_known=False), 0)
+        assert report.k_m_hat == 3
+        assert sorted(reconstructed) == list(range(10))
+        assert simulation._ROLE_ATTACK not in roles
 
     def test_unknown_count_benign_escape_hatch(self):
         cfg = _config(K=10, k_m=0, km_known=False)

@@ -36,6 +36,11 @@ class TestEdges:
         with pytest.raises(InputError):
             validate_edges([0.0, 0.5, 0.5, 1.0])
 
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, 0.2, np.nan, 0.6, 1.0]])
+    def test_rejects_nan_interior_edge(self, edges):
+        with pytest.raises(InputError, match="strictly increasing"):
+            validate_edges(edges)
+
 
 class TestHistogramCharacterize:
     def test_hand_example(self):
@@ -95,6 +100,17 @@ class TestClientReport:
         with pytest.raises(InputError):
             ClientReport(client_id=0, n=5, v=np.array([1.0]),
                          edges=np.array([0.0, 0.5, 1.0]))
+
+    def test_vector_is_a_read_only_copy(self):
+        v = np.array([0.5, 0.5])
+        r = ClientReport(client_id=0, n=4, v=v, edges=np.array([0.0, 0.5, 1.0]))
+        assert not r.v.flags.writeable
+        with pytest.raises(ValueError):
+            r.v[0] = 1.0
+        assert v.flags.writeable
+        v[0], v[1] = 1.0, 0.0  # the caller's array is not the report's
+        np.testing.assert_array_equal(r.v, [0.5, 0.5])
+        assert r.counts.tolist() == [2, 2]
 
     def test_equality_by_value(self):
         a = sketch_scores(1, [0.1, 0.6], uniform_bin_edges(2))
@@ -196,12 +212,22 @@ class TestReconstructCountsProperties:
         assert int(counts.sum()) == n
 
     @SWEEP
+    @given(nv=report_vectors())
+    def test_cached_counts_are_the_reconstruction(self, nv):
+        """Also for vectors no n samples could give: forged, off-grid, off-sum."""
+        n, v = nv
+        r = ClientReport(client_id=0, n=n, v=v, edges=uniform_bin_edges(v.size))
+        np.testing.assert_array_equal(r.counts, reconstruct_counts(r))
+        assert r.counts is r.counts
+
+    @SWEEP
     @given(data=score_sets())
     def test_honest_sketch_gives_histogram_counts(self, data):
         scores, edges = data
         expected, _ = np.histogram(scores, bins=edges)
-        np.testing.assert_array_equal(reconstruct_counts(sketch_scores(3, scores, edges)),
-                                      expected)
+        r = sketch_scores(3, scores, edges)
+        np.testing.assert_array_equal(reconstruct_counts(r), expected)
+        np.testing.assert_array_equal(r.counts, expected)
 
 
 class TestWireFormat:
@@ -235,6 +261,10 @@ class TestWireFormat:
         with pytest.raises(FormatError):
             report_from_json('{"client_id": 0, "n": 3, "edges": [0.0, 1.0],'
                              ' "v": [1.0], "note": "hi"}')
+
+    def test_rejects_nan_edge(self):
+        with pytest.raises(FormatError, match="invalid report: edges must be strictly increasing"):
+            report_from_json('{"client_id": 0, "n": 3, "edges": [0.0, NaN, 1.0], "v": [0.5, 0.5]}')
 
     def test_rejects_invalid_payload(self):
         with pytest.raises(FormatError):
