@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _real
 from .sketch import ClientReport, histogram_characterize, validate_edges
 
 ATTACK_KINDS = ("none", "coverage", "efficiency", "gaussian", "mimic")
@@ -44,8 +44,7 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise InputError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
-        if not self.gaussian_std > 0.0:
-            raise InputError(f"gaussian_std must be positive, got {self.gaussian_std}")
+        object.__setattr__(self, "gaussian_std", _real("gaussian_std", self.gaussian_std, 0.0))
         if self.direction_override not in (None, *DIRECTION_OVERRIDES):
             raise InputError(
                 f"direction_override must be one of {DIRECTION_OVERRIDES}, got {self.direction_override!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _real
 from .scores import TestBatch
 
 # Tolerance absorbed by rank arithmetic so float noise in (1-alpha)*(N+K)
@@ -79,8 +79,7 @@ def federated_quantile(agg: AggregateHistogram, alpha: float) -> QuantileEstimat
     ``alpha`` must be admissible, i.e. alpha >= 1/(N/K + 1); below that the
     +K rank inflation would ask for an order statistic beyond the sample.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _real("alpha", alpha, 0.0, 1.0)
     n, k = agg.total_n, agg.num_clients
     if alpha * (n + k) < k - _RANK_EPS:
         raise InputError(
@@ -92,7 +91,7 @@ def federated_quantile(agg: AggregateHistogram, alpha: float) -> QuantileEstimat
     cumulative = np.cumsum(agg.counts)
     bin_index = int(np.searchsorted(cumulative, min(target_rank, n), side="left"))
     return QuantileEstimate(q_hat=float(agg.edges[bin_index + 1]), target_rank=int(target_rank),
-                            bin_index=bin_index, alpha=float(alpha))
+                            bin_index=bin_index, alpha=alpha)
 
 
 @dataclass(frozen=True)

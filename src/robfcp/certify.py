@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 from .calibration import AggregateHistogram
 from .detection import as_vector_matrix, pairwise_distances
-from .errors import InputError
+from .errors import InputError, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -50,28 +50,17 @@ class CertificateParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise InputError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.num_bins < 1:
-            raise InputError(f"num_bins must be >= 1, got {self.num_bins}")
-        if self.num_benign < 1:
-            raise InputError(f"num_benign must be >= 1, got {self.num_benign}")
-        if self.num_malicious < 0:
-            raise InputError(f"num_malicious must be >= 0, got {self.num_malicious}")
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
+        for name, low in (("num_bins", 1), ("num_benign", 1), ("num_malicious", 0),
+                          ("min_benign_n", 1), ("total_malicious_n", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        # sigma is an l1 gap between probability vectors, epsilon a bin mass.
+        object.__setattr__(self, "sigma", _real("sigma", self.sigma, 0.0, 2.0, closed=True))
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, 0.0, 1.0, closed=True))
         if self.num_malicious >= self.num_benign:
             raise InputError(
                 f"need num_malicious < num_benign, got {self.num_malicious} >= {self.num_benign}")
-        if self.min_benign_n < 1:
-            raise InputError(f"min_benign_n must be >= 1, got {self.min_benign_n}")
-        if self.total_malicious_n < 0:
-            raise InputError(f"total_malicious_n must be >= 0, got {self.total_malicious_n}")
-        # NaN fails these too.  sigma is an l1 gap between probability vectors, epsilon a bin mass.
-        if not 0.0 <= self.sigma <= 2.0:
-            raise InputError(f"sigma must lie in [0, 2], got {self.sigma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     @property
     def tau(self) -> float:
@@ -144,9 +133,7 @@ def overestimate_bounds(params: CertificateParams, k_b_reported: int) -> Coverag
     Discarding benign mass costs a symmetric penalty that shrinks back to the
     concentration radius as the kept fraction approaches one.
     """
-    if int(k_b_reported) != k_b_reported or k_b_reported <= params.num_benign:
-        raise InputError(
-            f"k_b_reported must be an integer > num_benign={params.num_benign}, got {k_b_reported}")
+    k_b_reported = _integer("k_b_reported", k_b_reported, params.num_benign + 1)
     radius = _gaussian_radius(params)
     penalty = 1.0 - (params.num_benign / k_b_reported) * (1.0 - radius)
     n_b, k_b = params.min_benign_n, params.num_benign
@@ -166,12 +153,9 @@ def estimator_precision_bound(trace_sigma: float, sigma_max_ratio: float, d: flo
     vector to the benign mean.  Requires k_m < k_b_tilde <= k_b.  The value
     is returned unclipped; anything <= 0 is vacuous.
     """
-    if not trace_sigma >= 0.0:
-        raise InputError(f"trace_sigma must be >= 0, got {trace_sigma}")
-    if not sigma_max_ratio >= 1.0:
-        raise InputError(f"sigma_max_ratio must be >= 1, got {sigma_max_ratio}")
-    if not d > 0.0:
-        raise InputError(f"separation d must be positive, got {d}")
+    trace_sigma = _real("trace_sigma", trace_sigma, 0.0, closed=True)
+    sigma_max_ratio = _real("sigma_max_ratio", sigma_max_ratio, 1.0, closed=True)
+    d = _real("separation d", d, 0.0)
     if not (0 <= k_m < k_b_tilde <= k_b <= num_clients):
         raise InputError(
             f"need 0 <= k_m < k_b_tilde <= k_b <= num_clients, got "

@@ -137,27 +137,25 @@ def cmd_simulate(args) -> None:
 
 # --- certify ---
 
-def _build_params(args, nb: int | None = None) -> CertificateParams:
-    return CertificateParams(
-        alpha=args.alpha, beta=args.beta, num_bins=args.H,
-        num_benign=args.kb, num_malicious=args.km,
-        min_benign_n=nb if nb is not None else args.nb,
-        total_malicious_n=args.nm, sigma=args.sigma, epsilon=args.epsilon)
-
-
-def _one_certificate(args, nb: int | None = None) -> CoverageCertificate:
-    params = _build_params(args, nb)
+def _one_certificate(args, nb: int) -> CoverageCertificate:
+    params = CertificateParams(
+        alpha=args.alpha, beta=args.beta, num_bins=args.H, num_benign=args.kb,
+        num_malicious=args.km, min_benign_n=nb, total_malicious_n=args.nm,
+        sigma=args.sigma, epsilon=args.epsilon)
     if args.variant == "normal":
         return coverage_bounds(params)
     if args.variant == "dkw":
         return coverage_bounds_dkw(params)
-    if args.kb_reported is None:
-        raise CliUsageError("--variant overestimate requires --kb-reported")
     return overestimate_bounds(params, args.kb_reported)
 
 
 def cmd_certify(args) -> None:
-    if args.sweep:
+    # A flag the mode does not read is an error, not a silent no-op.
+    if (args.variant == "overestimate") != (args.kb_reported is not None):
+        raise CliUsageError("--kb-reported goes with --variant overestimate, and only with it")
+    if (args.nb is None) == (args.sweep is None):
+        raise CliUsageError("certify needs exactly one of --nb or --sweep nb=...")
+    if args.sweep is not None:
         key, values = _parse_sweep(args.sweep)
         if key != "nb":
             raise CliUsageError(f"certify sweeps only support nb, got {key!r}")
@@ -168,9 +166,7 @@ def cmd_certify(args) -> None:
                                    repr(cert.p_byz), "true" if cert.vacuous else "false"]))
         _emit("\n".join(lines), args.out)
         return
-    if args.nb is None:
-        raise CliUsageError("--nb is required unless --sweep nb=... is given")
-    cert = _one_certificate(args)
+    cert = _one_certificate(args, args.nb)
     _emit(json.dumps(_certificate_dict(cert), indent=2), args.out)
 
 

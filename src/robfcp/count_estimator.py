@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import as_vector_matrix, maliciousness_scores, pairwise_distances
-from .errors import InputError
+from .errors import InputError, _integer
 
 #: Weight rho of the prior c * I against the first split's scatter, per dimension.
 PRIOR_RHO = 1.0
@@ -121,8 +121,7 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     k = vectors.shape[0]
     if k < 4:
         raise InputError(f"count estimation requires at least 4 clients, got {k}")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _integer("max_iter", max_iter, 1)
 
     floor = k // 2 + 1
     distances = pairwise_distances(vectors, p=p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .sketch import ClientReport
 
 
@@ -56,10 +56,9 @@ def pairwise_distances(reports, p=2) -> np.ndarray:
     broadcast formula ``(|v_i - v_j|**p).sum() ** (1/p)`` does, so values are
     bit-identical to it; the lower triangle mirrors the upper one.
     """
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise InputError(f"norm order must be an integer >= 1, got {p!r}")
+    p = _integer("norm order", p, 1)
     vectors = as_vector_matrix(reports)
-    k, p = vectors.shape[0], int(p)
+    k = vectors.shape[0]
     if k < 2:
         raise InputError("need at least 2 reports for pairwise distances")
     d = np.zeros((k, k))
@@ -77,8 +76,7 @@ def pairwise_distances(reports, p=2) -> np.ndarray:
 def maliciousness_scores(d: np.ndarray, k_b: int) -> np.ndarray:
     """Average distance to each client's k_b - 1 nearest others in the distance matrix ``d``."""
     k = d.shape[0]
-    if not 2 <= k_b <= k:
-        raise InputError(f"k_b must lie in [2, {k}], got {k_b}")
+    k_b = _integer("k_b", k_b, 2, k + 1)
     off = d[~np.eye(k, dtype=bool)].reshape(k, k - 1)
     part = np.partition(off, k_b - 2, axis=1)[:, : k_b - 1]
     return part.mean(axis=1)

@@ -2,9 +2,19 @@
 
 Every error raised on a user-facing path carries a short machine-readable
 ``code`` so the CLI can emit ``ERROR:<code>:<message>`` lines.
+
+:func:`_integer` and :func:`_real` are the one check for a number that comes
+from outside (a config key, a CLI flag, a public argument): modules call them
+rather than compare by hand, so a boolean, a string, NaN or an out-of-range
+value is the same named error everywhere.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class RobfcpError(Exception):
@@ -38,7 +48,7 @@ def _integer(name: str, value, low: int, high: int | None = None,
     A boolean is not a count, so ``True`` is rejected rather than read as 1.
     """
     try:
-        ok = (not isinstance(value, bool) and int(value) == value
+        ok = (not isinstance(value, (bool, np.bool_)) and int(value) == value
               and low <= value and (high is None or value < high))
     except (TypeError, ValueError, OverflowError):
         ok = False
@@ -46,3 +56,22 @@ def _integer(name: str, value, low: int, high: int | None = None,
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise error(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
+          error: type[InputError] = InputError, *, closed: bool = False) -> float:
+    """``value`` as a float in (low, high), or in [low, high] when ``closed``.
+
+    Otherwise ``error`` naming the field, never a TypeError or ValueError.  A
+    boolean, a string and NaN are rejected; so is an infinity, unless a closed
+    bound is infinite.
+    """
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)) and (
+            low <= float(value) <= high if closed else low < float(value) < high)
+    except OverflowError:
+        ok = False
+    if not ok:
+        interval = f"[{low}, {high}]" if closed else f"({low}, {high})"
+        raise error(f"{name} must be a number in {interval}, got {value!r}")
+    return float(value)

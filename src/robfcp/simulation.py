@@ -15,8 +15,6 @@ stream and results do not depend on the worker count or execution order.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +27,7 @@ from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, fed
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
 from .detection import as_vector_matrix, rank_reports
-from .errors import ConfigError, InputError, _integer
+from .errors import ConfigError, InputError, _integer, _real
 from .scores import SCORE_KINDS, TestBatch, _score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
@@ -51,17 +49,6 @@ _MAX_SEED = 2 ** 64
 def _rng(seed: int, trial_index: int, role: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         entropy=seed, spawn_key=(trial_index, role, index)))
-
-
-def _real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
-    """``value`` as a float strictly between ``low`` and ``high``, or a :class:`ConfigError`."""
-    try:
-        ok = isinstance(value, numbers.Real) and low < float(value) < high
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{name} must be a number in ({low}, {high}), got {value!r}")
-    return float(value)
 
 
 def _per_client(name: str, value, num_clients: int) -> tuple:
@@ -101,7 +88,7 @@ class SimulationConfig:
                                                     error=ConfigError))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MAX_SEED, ConfigError))
         for name in ("alpha", "beta"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0, ConfigError))
         if self.k_m >= self.K - self.k_m:
             raise ConfigError(
                 f"malicious clients must be a strict minority: k_m={self.k_m} with K={self.K}")
@@ -119,7 +106,8 @@ class SimulationConfig:
         object.__setattr__(self, "n_per_client", tuple(
             _integer("n_per_client", n, 1, error=ConfigError) for n in ns))
         signals = _per_client("signal", self.signal, self.K)
-        object.__setattr__(self, "signal", tuple(_real("signal", s) for s in signals))
+        object.__setattr__(self, "signal", tuple(_real("signal", s, error=ConfigError)
+                                                 for s in signals))
 
     @property
     def benign_ids(self) -> tuple[int, ...]:
@@ -335,8 +323,7 @@ class _DirectMode:
 
 def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
     """Run one seeded trial end to end."""
-    if trial_index < 0:
-        raise InputError(f"trial_index must be >= 0, got {trial_index}")
+    trial_index = _integer("trial_index", trial_index, 0)
     rng = partial(_rng, config.seed, trial_index)
     edges = uniform_bin_edges(config.H)
     mode_cls = _DirectMode if config.mode == "histogram_direct" else _SampleMode
@@ -358,7 +345,7 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
     certificate = _certificate(mode, result.selected, {r.client_id: r for r in reports})
 
     return TrialReport(
-        trial_index=int(trial_index), naive=naive, robust=robust,
+        trial_index=trial_index, naive=naive, robust=robust,
         benign_set=result.selected, k_m_hat=result.k_m_hat, certificate=certificate,
         q_naive=result.naive.q_hat, q_robust=result.robust.q_hat,
         detection_exact=set(result.selected) == set(config.benign_ids))

@@ -26,8 +26,7 @@ VECTOR_ATOL = 1e-9
 
 def uniform_bin_edges(num_bins: int) -> np.ndarray:
     """Edges 0, 1/H, ..., 1 of a uniform H-bin grid on [0, 1]."""
-    if num_bins < 1:
-        raise InputError(f"need at least 1 bin, got {num_bins}")
+    num_bins = _integer("num_bins", num_bins, 1)
     return np.arange(num_bins + 1, dtype=float) / num_bins
 
 

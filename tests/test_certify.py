@@ -124,6 +124,12 @@ class TestCoverageBounds:
             _params(sigma=-0.1)
         with pytest.raises(InputError):
             _params(epsilon=-0.001)
+        with pytest.raises(InputError, match="num_bins must be an integer"):
+            _params(num_bins=2.5)
+        with pytest.raises(InputError, match="num_benign must be an integer"):
+            _params(num_benign=True)
+        with pytest.raises(InputError, match="total_malicious_n must be an integer"):
+            _params(total_malicious_n=0.5)
 
     @pytest.mark.parametrize("field, bad", [
         ("sigma", math.nan), ("sigma", math.inf), ("sigma", 2.5),

@@ -137,7 +137,10 @@ class TestSimulate:
         assert err.startswith("ERROR:config:")
 
     @pytest.mark.parametrize("attack", ["bogus", {"kind": "bogus"}, {"gaussian_std": -1},
-                                        {"kind": "mimic", "direction_override": "mass_low"}])
+                                        {"kind": "mimic", "direction_override": "mass_low"},
+                                        {"kind": "gaussian", "gaussian_std": "x"},
+                                        {"kind": "gaussian", "gaussian_std": 1e400},
+                                        {"kind": "gaussian", "gaussian_std": True}])
     def test_invalid_attack_is_a_config_error(self, capsys, tmp_path, attack):
         path = tmp_path / "bad_attack.json"
         path.write_text(json.dumps({"K": 6, "k_m": 1, "n_per_client": 10, "C": 3,
@@ -150,7 +153,8 @@ class TestSimulate:
     @pytest.mark.parametrize("key, raw", [("K", '"ten"'), ("K", "NaN"), ("H", "1e400"),
                                           ("n_per_client", '"abc"'), ("signal", '"x"'),
                                           ("signal", "NaN"), ("alpha", "1e400"),
-                                          ("trials", "true")])
+                                          ("trials", "true"), ("signal", "true"),
+                                          ("alpha", "true")])
     def test_malformed_number_is_a_config_error(self, capsys, tmp_path, key, raw):
         config = {"K": 6, "k_m": 1, "n_per_client": 10, "C": 3, "H": 10, key: "@"}
         path = tmp_path / "bad_number.json"
@@ -201,7 +205,8 @@ class TestCertify:
     def test_non_finite_parameter_is_an_input_error(self, capsys, flag, value):
         code, out, err = run_cli(capsys, *self.BASE, "--nb", "1000000", flag, value)
         assert code == 2 and out == ""
-        assert err.startswith(f"ERROR:input:{flag[2:]} must lie in ")
+        interval = {"--sigma": "[0.0, 2.0]", "--epsilon": "[0.0, 1.0]"}[flag]
+        assert err.startswith(f"ERROR:input:{flag[2:]} must be a number in {interval}, got ")
 
     def test_overestimate_needs_reported(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE, "--nb", "1000000",
@@ -211,6 +216,19 @@ class TestCertify:
                                "--variant", "overestimate", "--kb-reported", "12")
         assert code == 0
         assert json.loads(out)["variant"] == "overestimate"
+
+    @pytest.mark.parametrize("variant", ["normal", "dkw"])
+    def test_kb_reported_without_overestimate_is_a_usage_error(self, capsys, variant):
+        code, out, err = run_cli(capsys, *self.BASE, "--nb", "1000000",
+                                 "--variant", variant, "--kb-reported", "12")
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR:usage:")
+
+    def test_nb_with_sweep_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, *self.BASE, "--nb", "5",
+                                 "--sweep", "nb=1000000:3000000:1000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR:usage:")
 
     def test_nb_sweep_csv(self, capsys):
         code, out, _ = run_cli(capsys, *self.BASE, "--sweep",

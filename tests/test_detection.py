@@ -73,7 +73,7 @@ class TestPairwiseDistances:
             _dist([[1.0, 0.0]])
 
     def test_rejects_bad_norm(self):
-        for p in (0, -1, 1.5, "manhattan", "inf", math.inf, "cosine"):
+        for p in (0, -1, 1.5, "manhattan", "inf", math.inf, "cosine", True):
             with pytest.raises(InputError, match="integer >= 1"):
                 _dist([[1.0, 0.0], [0.0, 1.0]], p=p)
 
@@ -138,6 +138,9 @@ class TestMaliciousnessScores:
             maliciousness_scores(d, k_b=1)
         with pytest.raises(InputError):
             maliciousness_scores(d, k_b=4)
+        for bad in (2.5, True):  # a named error, not a TypeError from np.partition
+            with pytest.raises(InputError, match="k_b must be an integer in"):
+                maliciousness_scores(d, k_b=bad)
 
     def test_isolation_monotonicity(self):
         """Pushing one client further from everyone cannot lower its score."""

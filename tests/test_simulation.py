@@ -1,10 +1,11 @@
 """Tests for the seeded federated simulation harness."""
 
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from robfcp import simulation, sketch
 from robfcp.attacks import AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
-from robfcp.certify import coverage_bounds, heterogeneity_sigma
+from robfcp.certify import CertificateParams, coverage_bounds, heterogeneity_sigma
 from robfcp.count_estimator import estimate_malicious_count
 from robfcp.detection import maliciousness_scores, pairwise_distances, rank_reports
 from robfcp.errors import ConfigError, InputError
@@ -78,6 +79,35 @@ class TestConfigValidation:
             _config(alpha=1.0)
         with pytest.raises(ConfigError):
             _config(seed=-1)
+
+
+#: Each validated dataclass, keyword arguments it accepts, and the error class of its checks.
+_VALIDATED = {
+    SimulationConfig: (dict(K=8, k_m=1, n_per_client=300, C=5), ConfigError),
+    AttackSpec: (dict(kind="gaussian"), InputError),
+    CertificateParams: (dict(alpha=0.1, beta=0.05, num_bins=10, num_benign=9, num_malicious=1,
+                             min_benign_n=1000, total_malicious_n=1000), InputError),
+}
+#: Every field annotated int or float, alone or as a per-client list.
+_NUMERIC_FIELDS = [(cls, f.name) for cls in _VALIDATED for f in fields(cls)
+                   if str(f.type).split(" |")[0] in ("int", "float")]
+
+
+def test_numeric_fields_are_found_in_every_class():
+    assert {cls for cls, _ in _NUMERIC_FIELDS} == set(_VALIDATED)
+    assert (SimulationConfig, "signal") in _NUMERIC_FIELDS
+
+
+@pytest.mark.parametrize("bad", [True, "x", math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", _NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _NUMERIC_FIELDS])
+def test_every_numeric_field_rejects_non_numbers(cls, name, bad):
+    """A boolean, a string, NaN and either infinity are a named error in every numeric field."""
+    valid, error = _VALIDATED[cls]
+    with pytest.raises(InputError) as info:
+        cls(**{**valid, name: bad})
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{name} must be ")
 
 
 class TestDataGeneration:

@@ -27,6 +27,11 @@ class TestEdges:
         with pytest.raises(InputError):
             uniform_bin_edges(0)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_rejects_non_integer_bins(self, bad):
+        with pytest.raises(InputError, match="num_bins must be an integer >= 1"):
+            uniform_bin_edges(bad)
+
     def test_validate_edges(self):
         validate_edges([0.0, 0.3, 1.0])
         with pytest.raises(InputError):
