@@ -12,7 +12,7 @@ from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, estimator_precision_bound, heterogeneity_sigma,
                       overestimate_bounds, sketch_epsilon)
 from .count_estimator import (CountEstimate, estimate_benign_count, estimate_malicious_count,
-                              looks_all_benign, objective_T)
+                              objective_T)
 from .detection import maliciousness_scores, pairwise_distances, rank_reports
 from .errors import ConfigError, FormatError, InputError, RobfcpError
 from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
@@ -33,9 +33,9 @@ __all__ = [
     "config_echo", "coverage_bounds", "coverage_bounds_dkw", "estimate_benign_count",
     "estimate_malicious_count", "estimator_precision_bound", "evaluate", "federated_quantile",
     "generate_client_data", "heterogeneity_sigma", "histogram_characterize",
-    "looks_all_benign", "maliciousness_scores", "monte_carlo", "objective_T",
-    "overestimate_bounds", "pairwise_distances", "parse_config", "rank_reports",
-    "read_reports", "reconstruct_counts", "report_from_json", "report_to_json",
-    "reports_from_csv", "robust_calibrate", "run_trial", "score_batch", "sketch_epsilon",
-    "sketch_scores", "uniform_bin_edges", "write_reports",
+    "maliciousness_scores", "monte_carlo", "objective_T", "overestimate_bounds",
+    "pairwise_distances", "parse_config", "rank_reports", "read_reports",
+    "reconstruct_counts", "report_from_json", "report_to_json", "reports_from_csv",
+    "robust_calibrate", "run_trial", "score_batch", "sketch_epsilon", "sketch_scores",
+    "uniform_bin_edges", "write_reports",
 ]

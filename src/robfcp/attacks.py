@@ -13,9 +13,10 @@ Four forgeries are implemented, named by the failure they induce:
 * ``mimic``     — an exact copy of a uniformly chosen benign report's vector,
   indistinguishable by any report-space screen.
 
-``direction_override`` pins the point-mass bin (``mass_low`` / ``mass_high``)
-of ``coverage`` and ``efficiency``, the two point-mass forgeries, for
-ablations where the direction, not the named effect, is what matters.
+Each kind fixes its forgery; ``gaussian_std`` is read by ``gaussian`` alone.
+``none`` and ``gaussian`` read the attacker's own scores
+(:data:`OWN_SCORE_KINDS`), ``gaussian`` and ``mimic`` draw from a generator
+(:data:`DRAWING_KINDS`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .errors import InputError, _real
 from .sketch import ClientReport, histogram_characterize, validate_edges
 
 ATTACK_KINDS = ("none", "coverage", "efficiency", "gaussian", "mimic")
+#: The kinds that histogram the attacker's own scores, passed as ``benign_scores``.
+OWN_SCORE_KINDS = ("none", "gaussian")
 #: The kinds that draw from the generator passed to :func:`apply_attack`.
 DRAWING_KINDS = ("gaussian", "mimic")
-DIRECTION_OVERRIDES = ("mass_low", "mass_high")
 
 
 @dataclass(frozen=True)
@@ -39,23 +41,11 @@ class AttackSpec:
 
     kind: str = "none"
     gaussian_std: float = 0.5
-    direction_override: str | None = None
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise InputError(f"unknown attack kind {self.kind!r}, expected one of {ATTACK_KINDS}")
         object.__setattr__(self, "gaussian_std", _real("gaussian_std", self.gaussian_std, 0.0))
-        if self.direction_override not in (None, *DIRECTION_OVERRIDES):
-            raise InputError(
-                f"direction_override must be one of {DIRECTION_OVERRIDES}, got {self.direction_override!r}")
-        if self.direction_override and self.kind not in ("coverage", "efficiency"):
-            raise InputError(f"direction_override has no effect on a {self.kind!r} attack")
-
-
-def _point_mass(num_bins: int, bin_index: int) -> np.ndarray:
-    v = np.zeros(num_bins)
-    v[bin_index] = 1.0
-    return v
 
 
 def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random.Generator | None,
@@ -63,35 +53,27 @@ def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random
     """Produce the report a malicious client submits.
 
     ``benign_scores`` is the attacker's own raw score set (required for
-    ``gaussian`` and ``none``); ``benign_reports`` is the list of honest
-    reports visible on the wire (required for ``mimic``).  ``n`` is the trusted
-    sample count and is carried into the report unchanged.  ``rng`` may be None
-    for a kind not in :data:`DRAWING_KINDS`.
+    :data:`OWN_SCORE_KINDS`); ``benign_reports`` is the list of honest reports
+    visible on the wire (required for ``mimic``).  ``n`` is the trusted sample
+    count and is carried into the report unchanged.  ``rng`` may be None for a
+    kind not in :data:`DRAWING_KINDS`.
     """
     if rng is None and spec.kind in DRAWING_KINDS:
         raise InputError(f"the {spec.kind} attack draws from a generator, got rng=None")
     e = validate_edges(edges)
-    num_bins = e.size - 1
 
-    if spec.kind == "none":
-        if benign_scores is None or len(np.atleast_1d(benign_scores)) == 0:
-            raise InputError("an honest report requires the client's own scores")
-        return ClientReport(client_id=client_id, n=n,
-                            v=histogram_characterize(benign_scores, e), edges=e)
+    if spec.kind in OWN_SCORE_KINDS:
+        scores = np.asarray(benign_scores if benign_scores is not None else [], dtype=float)
+        if scores.size == 0:
+            raise InputError(f"the {spec.kind} attack requires the client's own scores")
+        if spec.kind == "gaussian":
+            scores = np.clip(scores + rng.normal(0.0, spec.gaussian_std, scores.size), 0.0, 1.0)
+        return ClientReport(client_id=client_id, n=n, v=histogram_characterize(scores, e), edges=e)
 
     if spec.kind in ("coverage", "efficiency"):
-        low = spec.direction_override == "mass_low" if spec.direction_override \
-            else spec.kind == "coverage"
-        v = _point_mass(num_bins, 0 if low else num_bins - 1)
+        v = np.zeros(e.size - 1)
+        v[0 if spec.kind == "coverage" else -1] = 1.0
         return ClientReport(client_id=client_id, n=n, v=v, edges=e)
-
-    if spec.kind == "gaussian":
-        base = np.asarray(benign_scores, dtype=float) if benign_scores is not None else None
-        if base is None or base.size == 0:
-            raise InputError("the gaussian attack requires a non-empty base score set")
-        noisy = np.clip(base + rng.normal(0.0, spec.gaussian_std, size=base.size), 0.0, 1.0)
-        return ClientReport(client_id=client_id, n=n,
-                            v=histogram_characterize(noisy, e), edges=e)
 
     # mimic
     reports = list(benign_reports) if benign_reports is not None else []

@@ -150,12 +150,16 @@ def estimator_precision_bound(trace_sigma: float, sigma_max_ratio: float, d: flo
     ``trace_sigma`` is the trace of the benign vectors' covariance,
     ``sigma_max_ratio`` the condition number of its inverse square root
     (1 for isotropic noise), and ``d`` the smallest distance from a forged
-    vector to the benign mean.  Requires k_m < k_b_tilde <= k_b.  The value
-    is returned unclipped; anything <= 0 is vacuous.
+    vector to the benign mean.  The counts are integers with k_m < k_b_tilde
+    <= k_b <= num_clients.  The value is returned unclipped; anything <= 0 is
+    vacuous.
     """
     trace_sigma = _real("trace_sigma", trace_sigma, 0.0, closed=True)
     sigma_max_ratio = _real("sigma_max_ratio", sigma_max_ratio, 1.0, closed=True)
     d = _real("separation d", d, 0.0)
+    num_clients, k_b, k_m, k_b_tilde = (
+        _integer(name, value, 0) for name, value in (
+            ("num_clients", num_clients), ("k_b", k_b), ("k_m", k_m), ("k_b_tilde", k_b_tilde)))
     if not (0 <= k_m < k_b_tilde <= k_b <= num_clients):
         raise InputError(
             f"need 0 <= k_m < k_b_tilde <= k_b <= num_clients, got "

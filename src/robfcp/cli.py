@@ -18,7 +18,7 @@ import sys
 from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, overestimate_bounds)
 from .count_estimator import estimate_malicious_count
-from .errors import RobfcpError
+from .errors import RobfcpError, _integer
 from .io import config_echo, config_from_dict, parse_config, read_reports, reports_from_csv
 from .scores import SCORE_KINDS
 from .simulation import TrialReport, monte_carlo, robust_calibrate
@@ -199,7 +199,9 @@ def cmd_calibrate(args) -> None:
     if (args.kb is None) == (not args.estimate_km):
         raise CliUsageError("calibrate needs exactly one of --kb or --estimate-km")
 
-    k_m = None if args.estimate_km else len(reports) - args.kb
+    k_m = None
+    if not args.estimate_km:
+        k_m = len(reports) - _integer("--kb", args.kb, 2, len(reports) + 1)
     result = robust_calibrate(reports, args.alpha, k_m, p=args.p)
     payload = {"q_hat": result.robust.q_hat, "benign_set": list(result.selected),
                "k_m_hat": result.k_m_hat}

@@ -148,7 +148,7 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
                          converged=converged, cycled=cycled)
 
 
-def looks_all_benign(scores) -> bool:
+def _looks_all_benign(scores) -> bool:
     """Escape hatch: no client stands out if max score <= 2 * median score.
 
     The split-point scan cannot return z = K, so on an attack-free federation
@@ -171,6 +171,6 @@ def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     vectors = as_vector_matrix(reports)
     estimate = estimate_benign_count(vectors, p=p, max_iter=max_iter)
     scores = maliciousness_scores(pairwise_distances(vectors, p=p), estimate.k_b_hat)
-    if looks_all_benign(scores):
+    if _looks_all_benign(scores):
         return replace(estimate, k_m_hat=0, all_benign=True)
     return estimate

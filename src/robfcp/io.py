@@ -130,7 +130,7 @@ def _attack_from_value(value) -> AttackSpec:
         raise ConfigError(f"attack must be a string or object, got {type(value).__name__}")
     extra = set(value) - _ATTACK_KEYS
     if extra:
-        raise ConfigError(f"unknown attack fields: {sorted(extra)}")
+        raise ConfigError(f"attack: unknown fields: {sorted(extra)}")
     try:
         return AttackSpec(**value)
     except InputError as exc:

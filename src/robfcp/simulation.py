@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .attacks import DRAWING_KINDS, AttackSpec, apply_attack
+from .attacks import DRAWING_KINDS, OWN_SCORE_KINDS, AttackSpec, apply_attack
 from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
@@ -176,6 +176,8 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
     kept clients.  The vectors are stacked once, if the estimate or screen runs.
     """
     reports = list(reports)
+    if k_m is not None:
+        k_m = _integer("k_m", k_m, 0, len(reports) - 1)
     vectors = None if k_m == 0 else as_vector_matrix(reports)
     if k_m is None:
         k_m = estimate_malicious_count(vectors, p=p).k_m_hat
@@ -185,7 +187,7 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
         rows = rank_reports(vectors, len(reports) - k_m, p=p)
     selected = tuple(sorted(reports[row].client_id for row in rows))
     return CalibrationResult(
-        selected=selected, k_m_hat=int(k_m),
+        selected=selected, k_m_hat=k_m,
         naive=federated_quantile(aggregate(reports), alpha),
         robust=federated_quantile(aggregate(reports, selected), alpha))
 
@@ -333,8 +335,7 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
     reports = list(benign_reports)
     draws = config.attack.kind in DRAWING_KINDS
     for i in config.malicious_ids:
-        # Only these attacks forge from the client's own raw scores.
-        own = mode.scores(i) if config.attack.kind in ("gaussian", "none") else None
+        own = mode.scores(i) if config.attack.kind in OWN_SCORE_KINDS else None
         reports.append(apply_attack(config.attack, i, config.n_per_client[i], edges,
                                     rng(_ROLE_ATTACK, i) if draws else None,
                                     benign_scores=own, benign_reports=benign_reports))

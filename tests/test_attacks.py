@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from robfcp.attacks import DRAWING_KINDS, AttackSpec, apply_attack
+from robfcp.attacks import ATTACK_KINDS, DRAWING_KINDS, OWN_SCORE_KINDS, AttackSpec, apply_attack
 from robfcp.errors import InputError
 from robfcp.sketch import sketch_scores, uniform_bin_edges
 
@@ -20,7 +20,6 @@ class TestAttackSpec:
         spec = AttackSpec()
         assert spec.kind == "none"
         assert spec.gaussian_std == 0.5
-        assert spec.direction_override is None
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InputError):
@@ -29,15 +28,6 @@ class TestAttackSpec:
     def test_rejects_bad_std(self):
         with pytest.raises(InputError):
             AttackSpec(kind="gaussian", gaussian_std=0.0)
-
-    def test_rejects_bad_override(self):
-        with pytest.raises(InputError):
-            AttackSpec(kind="coverage", direction_override="sideways")
-
-    @pytest.mark.parametrize("kind", ["none", "gaussian", "mimic"])
-    def test_rejects_override_it_would_ignore(self, kind):
-        with pytest.raises(InputError, match="direction_override"):
-            AttackSpec(kind=kind, direction_override="mass_low")
 
 
 class TestPointMassAttacks:
@@ -51,14 +41,6 @@ class TestPointMassAttacks:
         r = apply_attack(AttackSpec("efficiency"), 0, 200, EDGES, _rng())
         assert r.v[-1] == 1.0
         assert r.v[:-1].sum() == 0.0
-
-    def test_direction_override_wins(self):
-        r = apply_attack(AttackSpec("coverage", direction_override="mass_high"),
-                         0, 100, EDGES, _rng())
-        assert r.v[-1] == 1.0
-        r = apply_attack(AttackSpec("efficiency", direction_override="mass_low"),
-                         0, 100, EDGES, _rng())
-        assert r.v[0] == 1.0
 
 
 class TestHonestAndGaussian:
@@ -146,3 +128,22 @@ class TestGeneratorArgument:
     def test_other_kinds_accept_no_generator(self, kind):
         r = apply_attack(AttackSpec(kind), 1, 2, EDGES, None, benign_scores=[0.1, 0.6])
         assert (r.client_id, r.n) == (1, 2)
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_kind_tables_say_what_each_kind_needs(self, kind):
+        """A kind needs its own scores iff in OWN_SCORE_KINDS, a generator iff in DRAWING_KINDS."""
+        honest = [sketch_scores(0, [0.1, 0.6], EDGES)]
+        full = dict(benign_scores=[0.1, 0.6], benign_reports=honest)
+
+        def error(rng, **inputs):
+            try:
+                apply_attack(AttackSpec(kind), 1, 2, EDGES, rng, **inputs)
+            except InputError as exc:
+                return str(exc)
+            return None
+
+        assert error(_rng(), **full) is None
+        assert error(_rng(), benign_reports=honest) == (
+            f"the {kind} attack requires the client's own scores"
+            if kind in OWN_SCORE_KINDS else None)
+        assert (error(None, **full) is None) == (kind not in DRAWING_KINDS)

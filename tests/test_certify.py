@@ -273,6 +273,10 @@ class TestPrecisionBound:
         with pytest.raises(InputError):
             estimator_precision_bound(0.02, 0.5, d=5.0, num_clients=10, k_b=6,
                                       k_m=4, k_b_tilde=6)
+        with pytest.raises(InputError, match=r"^k_b must be an integer >= 0, got 6\.5$"):
+            estimator_precision_bound(0.02, 1.0, 5.0, 10, 6.5, 4, 6)
+        with pytest.raises(InputError, match=r"^k_m must be an integer >= 0, got True$"):
+            estimator_precision_bound(0.02, 1.0, 5.0, 10, 6, True, 6)
 
     @pytest.mark.parametrize("trace_sigma, ratio", [(math.nan, 1.0), (0.02, math.nan)])
     def test_rejects_nan(self, trace_sigma, ratio):

@@ -140,7 +140,8 @@ class TestSimulate:
                                         {"kind": "mimic", "direction_override": "mass_low"},
                                         {"kind": "gaussian", "gaussian_std": "x"},
                                         {"kind": "gaussian", "gaussian_std": 1e400},
-                                        {"kind": "gaussian", "gaussian_std": True}])
+                                        {"kind": "gaussian", "gaussian_std": True},
+                                        {"kind": "coverage", "direction_override": "mass_high"}])
     def test_invalid_attack_is_a_config_error(self, capsys, tmp_path, attack):
         path = tmp_path / "bad_attack.json"
         path.write_text(json.dumps({"K": 6, "k_m": 1, "n_per_client": 10, "C": 3,
@@ -367,6 +368,20 @@ class TestCalibrate:
         code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
                                "--alpha", "0.1", "--kb", "7", "--estimate-km")
         assert code == 2 and err.startswith("ERROR:usage:")
+
+    @pytest.mark.parametrize("kb", ["1", "11"])
+    def test_kb_outside_two_to_k_names_the_flag(self, capsys, reports_path, kb):
+        """--kb is checked in [2, K] before k_m is derived from it."""
+        code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                                 "--alpha", "0.1", "--kb", kb)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:input:--kb must be an integer in [2, 11), got {kb}\n"
+
+    def test_kb_equal_to_k_keeps_every_client(self, capsys, reports_path):
+        code, out, _ = run_cli(capsys, "calibrate", "--reports", reports_path,
+                               "--alpha", "0.1", "--kb", "10")
+        assert code == 0
+        assert json.loads(out)["benign_set"] == list(range(10))
 
     def test_csv_route(self, capsys, tmp_path):
         rng = np.random.default_rng(8)

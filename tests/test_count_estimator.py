@@ -11,9 +11,9 @@ from scipy.stats import multivariate_normal
 
 from robfcp import count_estimator
 from robfcp.count_estimator import (
+    _looks_all_benign,
     estimate_benign_count,
     estimate_malicious_count,
-    looks_all_benign,
     objective_T,
 )
 from robfcp.detection import maliciousness_scores, pairwise_distances
@@ -306,8 +306,8 @@ class TestEscapeHatch:
 
     def test_scores_validation(self):
         with pytest.raises(InputError):
-            looks_all_benign(np.array([]))
+            _looks_all_benign(np.array([]))
 
     def test_direct_threshold(self):
-        assert looks_all_benign(np.array([1.0, 1.1, 0.9, 2.0]))
-        assert not looks_all_benign(np.array([1.0, 1.1, 0.9, 2.3]))
+        assert _looks_all_benign(np.array([1.0, 1.1, 0.9, 2.0]))
+        assert not _looks_all_benign(np.array([1.0, 1.1, 0.9, 2.3]))

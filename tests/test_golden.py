@@ -28,7 +28,7 @@ CASES = {
     "sample_mimic_lac_known": None,
     "sample_coverage_lac_known_sweep": "km=0:2",
     "direct_none_unknown": None,
-    "direct_coverage_unknown": None,
+    "direct_efficiency_unknown": None,
     "direct_gaussian_known_sweep": "n=1000:3000:1000",
 }
 

@@ -400,6 +400,14 @@ class TestRobustCalibrate:
         with pytest.raises(InputError):
             robust_calibrate(reports, 0.1, k_m=k_m)
 
+    @pytest.mark.parametrize("k_m", [True, -1, 2.5, 5])
+    def test_k_m_error_names_k_m(self, k_m):
+        """k_m is checked as given, not as the k_b = len(reports) - k_m it implies."""
+        edges = uniform_bin_edges(2)
+        reports = [ClientReport(i, 10, [0.5, 0.5], edges) for i in range(6)]
+        with pytest.raises(InputError, match=rf"^k_m must be an integer in \[0, 5\), got {k_m!r}$"):
+            robust_calibrate(reports, 0.1, k_m=k_m)
+
     @SWEEP
     @given(fed=federations(), data=st.data())
     def test_k_m_zero_keeps_every_id(self, fed, data):
