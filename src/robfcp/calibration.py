@@ -1,4 +1,4 @@
-"""Federated quantile calibration over aggregated histogram sketches.
+"""The server's federated quantile calibration over aggregated histogram sketches.
 
 Selected client reports are reconstructed to integer bin counts and summed.
 The calibration threshold is the score at pooled rank ceil((1-alpha)(N + K)),
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, _real
-from .scores import TestBatch
+from .sketch import shared_edges
 
 # Tolerance absorbed by rank arithmetic so float noise in (1-alpha)*(N+K)
 # cannot push ceil() over an exact integer boundary.
@@ -54,10 +54,7 @@ def aggregate(reports, selected=None) -> AggregateHistogram:
         if missing:
             raise InputError(f"selected ids not present in reports: {missing}")
         chosen = [by_id[i] for i in selected]
-    edges = chosen[0].edges
-    for r in chosen[1:]:
-        if not (r.edges is edges or np.array_equal(r.edges, edges)):
-            raise InputError("all aggregated reports must share the same bin edges")
+    edges = shared_edges(chosen)
     counts = np.add.reduce([r.counts for r in chosen])
     return AggregateHistogram(counts=counts, total_n=int(counts.sum()),
                               num_clients=len(chosen), edges=edges)
@@ -92,21 +89,3 @@ def federated_quantile(agg: AggregateHistogram, alpha: float) -> QuantileEstimat
     bin_index = int(np.searchsorted(cumulative, min(target_rank, n), side="left"))
     return QuantileEstimate(q_hat=float(agg.edges[bin_index + 1]), target_rank=int(target_rank),
                             bin_index=bin_index, alpha=alpha)
-
-
-@dataclass(frozen=True)
-class EvalMetrics:
-    """Marginal coverage and average prediction-set size on a test batch."""
-
-    marginal_coverage: float
-    average_set_size: float
-
-
-def evaluate(test: TestBatch, q_hat: float) -> EvalMetrics:
-    """Fraction of rows whose true label is covered, and mean set size."""
-    if len(test) == 0:
-        raise InputError("cannot evaluate an empty test batch")
-    covered = test.true_label_scores <= q_hat
-    sizes = (test.label_scores <= q_hat).sum(axis=1)
-    return EvalMetrics(marginal_coverage=float(covered.mean()),
-                       average_set_size=float(sizes.mean()))

@@ -103,6 +103,8 @@ def _parse_sweep(spec: str, aliases: dict | None = None) -> tuple[str, list[int]
 # --- simulate ---
 
 def cmd_simulate(args) -> None:
+    if args.threads is not None:
+        _integer("--threads", args.threads, 1)
     config = parse_config(args.config)
     echo = config_echo(config)
     csv_blocks: list[tuple[str, tuple]] = []
@@ -200,7 +202,7 @@ def cmd_calibrate(args) -> None:
         raise CliUsageError("calibrate needs exactly one of --kb or --estimate-km")
 
     k_m = None
-    if not args.estimate_km:
+    if not args.estimate_km and len(reports) >= 2:  # else robust_calibrate rejects the count
         k_m = len(reports) - _integer("--kb", args.kb, 2, len(reports) + 1)
     result = robust_calibrate(reports, args.alpha, k_m, p=args.p)
     payload = {"q_hat": result.robust.q_hat, "benign_set": list(result.selected),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, _integer
-from .sketch import ClientReport
+from .sketch import ClientReport, shared_edges
 
 
 def as_vector_matrix(reports) -> np.ndarray:
@@ -36,10 +36,7 @@ def as_vector_matrix(reports) -> np.ndarray:
         if not items:
             raise InputError("need at least one report")
         if isinstance(items[0], ClientReport):
-            edges = items[0].edges
-            for r in items[1:]:
-                if not (r.edges is edges or np.array_equal(r.edges, edges)):
-                    raise InputError("all reports must share the same bin edges")
+            shared_edges(items)
             x = np.stack([r.v for r in items])
         else:
             x = np.stack([np.asarray(v, dtype=float) for v in items])

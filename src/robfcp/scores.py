@@ -10,13 +10,12 @@ vector and a candidate label to a value in [0, 1]:
 
 :func:`score_batch` is the one public entry: it validates (N, C) probability
 rows, draws ``u`` for ``aps``, and returns the true-label scores or, with
-``per_label``, every candidate label's score.  The simulator scores its own
-softmax rows through the unvalidated ``_score_batch``.
+``per_label``, every candidate label's score: a row's prediction set at q is
+the labels scoring <= q.  The simulator scores its own softmax rows through
+the unvalidated ``_score_batch``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,31 +124,3 @@ def _score_batch(p: np.ndarray, y: np.ndarray, kind: str, rng: np.random.Generat
         return 1.0 - p if u is None else _aps_label_scores(p, u)
     return 1.0 - p[np.arange(p.shape[0]), y] if u is None else _aps_scores(p, y, u)
 
-
-@dataclass(frozen=True)
-class TestBatch:
-    """Evaluation rows: per-label score matrix plus the true labels."""
-
-    __test__ = False  # "Test" refers to held-out data, not pytest
-
-    label_scores: np.ndarray  # (N, C)
-    labels: np.ndarray        # (N,)
-
-    def __post_init__(self):
-        s = np.asarray(self.label_scores, dtype=float)
-        if s.ndim != 2 or s.shape[1] < 2:
-            raise InputError("label_scores must be an (N, C) matrix with C >= 2")
-        if s.size and (not np.all(np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0):
-            raise InputError("label scores must lie in [0, 1]")
-        y = _validate_labels(self.labels, s.shape[1])
-        if y.shape != (s.shape[0],):
-            raise InputError("labels must have one entry per row")
-        object.__setattr__(self, "label_scores", s)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.label_scores.shape[0]
-
-    @property
-    def true_label_scores(self) -> np.ndarray:
-        return self.label_scores[np.arange(len(self)), self.labels]

@@ -23,12 +23,12 @@ from functools import partial
 import numpy as np
 
 from .attacks import DRAWING_KINDS, OWN_SCORE_KINDS, AttackSpec, apply_attack
-from .calibration import EvalMetrics, QuantileEstimate, aggregate, evaluate, federated_quantile
+from .calibration import QuantileEstimate, aggregate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
 from .detection import as_vector_matrix, rank_reports
 from .errors import ConfigError, InputError, _integer, _real
-from .scores import SCORE_KINDS, TestBatch, _score_batch
+from .scores import SCORE_KINDS, _score_batch
 from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 MODES = ("sample", "histogram_direct")
@@ -170,12 +170,16 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
 
     The ``len(reports) - k_m`` reports with the lowest maliciousness scores
     are kept; with ``k_m=0`` every report is.  ``selected`` holds their client
-    ids in ascending order, whatever the order of ``reports``.  A ``k_m``
-    outside ``[0, len(reports) - 2]`` is an :class:`InputError`, and
-    ``alpha`` must be admissible for the whole federation as well as for the
-    kept clients.  The vectors are stacked once, if the estimate or screen runs.
+    ids in ascending order, whatever the order of ``reports``.  Fewer than 2
+    reports, a ``p`` that is not an integer >= 1 or a ``k_m`` outside
+    ``[0, len(reports) - 2]`` is an :class:`InputError`, and ``alpha`` must be
+    admissible for the whole federation and the kept clients.  The vectors are
+    stacked once, if the estimate or screen runs.
     """
     reports = list(reports)
+    if len(reports) < 2:
+        raise InputError(f"need at least 2 reports, got {len(reports)}")
+    p = _integer("p", p, 1)
     if k_m is not None:
         k_m = _integer("k_m", k_m, 0, len(reports) - 1)
     vectors = None if k_m == 0 else as_vector_matrix(reports)
@@ -190,6 +194,22 @@ def robust_calibrate(reports, alpha: float, k_m: int | None = None, p=2) -> Cali
         selected=selected, k_m_hat=k_m,
         naive=federated_quantile(aggregate(reports), alpha),
         robust=federated_quantile(aggregate(reports, selected), alpha))
+
+
+@dataclass(frozen=True)
+class EvalMetrics:
+    """Marginal coverage and average prediction-set size on a test batch."""
+
+    marginal_coverage: float
+    average_set_size: float
+
+
+def _set_metrics(label_scores: np.ndarray, labels: np.ndarray, q_hat: float) -> EvalMetrics:
+    """Share of rows whose true label scores <= q_hat, and the mean count of such labels."""
+    covered = label_scores[np.arange(labels.size), labels] <= q_hat
+    sizes = (label_scores <= q_hat).sum(axis=1)
+    return EvalMetrics(marginal_coverage=float(covered.mean()),
+                       average_set_size=float(sizes.mean()))
 
 
 @dataclass(frozen=True)
@@ -279,8 +299,8 @@ class _SampleMode:
             probs, labels = _draw_rows(config.C, config.signal[i], int(count), gen)
             score_rows.append(_score_batch(probs, labels, config.score_kind, gen, per_label=True))
             label_rows.append(labels)
-        test = TestBatch(np.concatenate(score_rows), np.concatenate(label_rows))
-        return [evaluate(test, q.q_hat) for q in quantiles]
+        label_scores, labels = np.concatenate(score_rows), np.concatenate(label_rows)
+        return [_set_metrics(label_scores, labels, q.q_hat) for q in quantiles]
 
 
 class _DirectMode:

@@ -95,6 +95,14 @@ class ClientReport:
                 and np.array_equal(self.edges, other.edges))
 
 
+def shared_edges(reports) -> np.ndarray:
+    """The bin edges every report in ``reports`` shares (compared by identity, then value)."""
+    edges = reports[0].edges
+    if not all(r.edges is edges or np.array_equal(r.edges, edges) for r in reports[1:]):
+        raise InputError("all reports must share the same bin edges")
+    return edges
+
+
 def sketch_scores(client_id: int, scores, edges) -> ClientReport:
     """Honest report: histogram-characterize ``scores`` on ``edges``."""
     s = np.asarray(scores, dtype=float)

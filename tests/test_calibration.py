@@ -1,4 +1,4 @@
-"""Tests for aggregation, the federated rank quantile, and set evaluation."""
+"""Tests for aggregation and the federated rank quantile."""
 
 import math
 
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from robfcp.calibration import (
     AggregateHistogram,
     aggregate,
-    evaluate,
     federated_quantile,
 )
 from robfcp.errors import InputError
-from robfcp.scores import TestBatch
 from robfcp.sketch import sketch_scores, uniform_bin_edges
 
 
@@ -55,9 +53,12 @@ class TestAggregate:
         reports = [sketch_scores(i, [0.1, 0.9], uniform_bin_edges(4)) for i in range(2)]
         assert reports[0].edges is not reports[1].edges
         assert aggregate(reports).total_n == 4
-        other = sketch_scores(2, [0.1, 0.9], [0.0, 0.2, 0.5, 0.75, 1.0])
-        with pytest.raises(InputError, match="same bin edges"):
-            aggregate(reports + [other])
+        # A grid of other values, and one of another bin count (edges are
+        # compared before counts of different lengths are summed).
+        for edges in ([0.0, 0.2, 0.5, 0.75, 1.0], uniform_bin_edges(5)):
+            other = sketch_scores(2, [0.1, 0.9], edges)
+            with pytest.raises(InputError, match="same bin edges"):
+                aggregate(reports + [other])
 
     def test_rejects_duplicate_ids(self):
         edges = uniform_bin_edges(4)
@@ -190,18 +191,3 @@ class TestSandwichNonUniformEdges:
         assert edges[q.bin_index] - 1e-12 <= exact <= q.q_hat + 1e-12
         assert q.q_hat - exact <= np.diff(edges).max() + 1e-12
 
-
-class TestPredictionSets:
-    def test_evaluate_hand_example(self):
-        batch = TestBatch(label_scores=np.array([[0.1, 0.9], [0.8, 0.2], [0.6, 0.7]]),
-                          labels=np.array([0, 0, 1]))
-        m = evaluate(batch, q_hat=0.65)
-        # covered: row0 (0.1), row1 not (0.8), row2 not (0.7) -> 1/3
-        assert m.marginal_coverage == pytest.approx(1.0 / 3.0)
-        # set sizes: {0}, {1}, {0} -> mean 1.0
-        assert m.average_set_size == pytest.approx(1.0)
-
-    def test_evaluate_empty_batch(self):
-        batch = TestBatch(label_scores=np.zeros((0, 2)), labels=np.array([], dtype=int))
-        with pytest.raises(InputError):
-            evaluate(batch, 0.5)

@@ -88,6 +88,11 @@ class TestSimulate:
         assert err.startswith("ERROR:input:alpha=0.1 below admissibility floor")
         assert multiprocessing.active_children() == []
 
+    def test_zero_threads_names_the_flag(self, capsys, config_path):
+        code, out, err = run_cli(capsys, "simulate", "--config", config_path, "--threads", "0")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:input:--threads must be an integer >= 1, got 0\n"
+
     def test_sweep(self, capsys, config_path, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "simulate", "--config", config_path,
@@ -416,6 +421,23 @@ class TestCalibrate:
                                  "--kb", "2", "--seed", "-1")
         assert (code, out) == (2, "")
         assert err == "ERROR:input:seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("mode", [["--kb", "2"], ["--estimate-km"]])
+    def test_one_client_is_a_count_error(self, capsys, tmp_path, mode):
+        """The report count is checked before --kb is read against it."""
+        path = tmp_path / "one.csv"
+        path.write_text("client_id,label,p_0,p_1\n0,0,0.6,0.4\n0,1,0.3,0.7\n")
+        code, out, err = run_cli(capsys, "calibrate", "--csv", str(path), "--alpha", "0.5", *mode)
+        assert (code, out) == (2, "")
+        assert err == "ERROR:input:need at least 2 reports, got 1\n"
+
+    def test_zero_p_is_an_input_error_when_every_client_is_kept(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("client_id,label,p_0,p_1\n0,0,0.6,0.4\n1,1,0.3,0.7\n")
+        code, out, err = run_cli(capsys, "calibrate", "--csv", str(path), "--alpha", "0.5",
+                                 "--kb", "2", "--p", "0")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:input:p must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("ids", ["offset", "rotated"])
     @pytest.mark.parametrize("mode", [["--kb", "7"], ["--estimate-km"]])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from robfcp.errors import InputError
 from robfcp.scores import (
     APS_BLOCK_ROWS,
-    TestBatch,
     _aps_label_scores,
     _aps_scores,
     score_batch,
@@ -185,24 +184,6 @@ class TestLabelScoreMatrix:
             np.testing.assert_allclose(m[np.arange(20), labels],
                                        score_batch(p, labels, kind, np.random.default_rng(1)),
                                        rtol=0.0, atol=1e-12)
-
-
-class TestTestBatch:
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        p = rng.dirichlet(np.ones(3), size=15)
-        labels = rng.integers(0, 3, size=15)
-        batch = TestBatch(score_batch(p, labels, "lac", rng, per_label=True), labels)
-        assert len(batch) == 15
-        np.testing.assert_allclose(batch.true_label_scores, lac_scores(p, labels))
-
-    def test_rejects_out_of_range_scores(self):
-        with pytest.raises(InputError):
-            TestBatch(np.array([[0.5, 1.5]]), np.array([0]))
-
-    def test_rejects_label_shape_mismatch(self):
-        with pytest.raises(InputError):
-            TestBatch(np.array([[0.5, 0.5]]), np.array([0, 1]))
 
 
 # --- oracles and property sweeps for the vectorised kernels ---

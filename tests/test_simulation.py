@@ -23,6 +23,7 @@ from robfcp.errors import ConfigError, InputError
 from robfcp.simulation import (
     ClientProfile,
     SimulationConfig,
+    _set_metrics,
     _softmax,
     generate_client_data,
     monte_carlo,
@@ -247,6 +248,16 @@ class TestRunTrial:
         assert (a.q_naive, a.naive, a.certificate) != (b.q_naive, b.naive, b.certificate)
 
 
+class TestPredictionSets:
+    def test_evaluate_hand_example(self):
+        label_scores = np.array([[0.1, 0.9], [0.8, 0.2], [0.6, 0.7], [0.65, 0.3]])
+        m = _set_metrics(label_scores, np.array([0, 0, 1, 0]), q_hat=0.65)
+        # covered: row0 (0.1), row1 not (0.8), row2 not (0.7), row3 (0.65 <= 0.65) -> 2/4
+        assert m.marginal_coverage == 0.5
+        # set sizes: {0}, {1}, {0}, {0, 1} -> mean 5/4
+        assert m.average_set_size == 1.25
+
+
 class TestCertificateSigma:
     """sigma follows the client laws: clients that share a signal share their law."""
 
@@ -407,6 +418,20 @@ class TestRobustCalibrate:
         reports = [ClientReport(i, 10, [0.5, 0.5], edges) for i in range(6)]
         with pytest.raises(InputError, match=rf"^k_m must be an integer in \[0, 5\), got {k_m!r}$"):
             robust_calibrate(reports, 0.1, k_m=k_m)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    @pytest.mark.parametrize("k_m", [None, 0])
+    def test_rejects_fewer_than_two_reports_first(self, count, k_m):
+        reports = [ClientReport(i, 10, [0.5, 0.5], uniform_bin_edges(2)) for i in range(count)]
+        with pytest.raises(InputError, match=rf"^need at least 2 reports, got {count}$"):
+            robust_calibrate(reports, 0.5, k_m=k_m, p=0)
+
+    @pytest.mark.parametrize("p", [0, "x", True, 2.5])
+    def test_p_is_checked_when_nothing_is_screened(self, p):
+        """With k_m=0 no distance is taken, yet a bad p is still an error naming p."""
+        reports = [ClientReport(i, 10, [0.5, 0.5], uniform_bin_edges(2)) for i in range(3)]
+        with pytest.raises(InputError, match=rf"^p must be an integer >= 1, got {p!r}$"):
+            robust_calibrate(reports, 0.5, k_m=0, p=p)
 
     @SWEEP
     @given(fed=federations(), data=st.data())
