@@ -14,7 +14,7 @@ from .count_estimator import (CountEstimate, estimate_benign_count, estimate_mal
                               objective_T)
 from .detection import maliciousness_scores, pairwise_distances, rank_reports
 from .errors import ConfigError, FormatError, InputError, RobfcpError
-from .io import config_echo, parse_config, read_reports, reports_from_csv, write_reports
+from .io import config_echo, parse_config, read_reports, reports_from_csv
 from .scores import score_batch
 from .simulation import (CalibrationResult, ClientProfile, EvalMetrics, MonteCarloResult,
                          SimulationConfig, TrialReport, generate_client_data, monte_carlo,
@@ -36,5 +36,5 @@ __all__ = [
     "pairwise_distances", "parse_config", "rank_reports", "read_reports",
     "reconstruct_counts", "report_from_json", "report_to_json", "reports_from_csv",
     "robust_calibrate", "run_trial", "score_batch", "sketch_epsilon", "sketch_scores",
-    "uniform_bin_edges", "write_reports",
+    "uniform_bin_edges",
 ]

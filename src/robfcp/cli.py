@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .certify import (CertificateParams, CoverageCertificate, coverage_bounds,
                       coverage_bounds_dkw, overestimate_bounds)
@@ -38,8 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _certificate_dict(cert: CoverageCertificate) -> dict:
-    return {"lower": cert.lower, "upper": cert.upper, "p_byz": cert.p_byz,
-            "variant": cert.variant, "vacuous": cert.vacuous}
+    return {**asdict(cert), "vacuous": cert.vacuous}
 
 
 def _trial_dict(t: TrialReport) -> dict:
@@ -59,16 +59,13 @@ def _trial_dict(t: TrialReport) -> dict:
 
 
 def _csv_rows(attack_kind: str, trials) -> list[str]:
-    rows = []
-    for t in trials:
-        rows.append(",".join([
-            str(t.trial_index), attack_kind,
-            repr(t.naive.marginal_coverage), repr(t.naive.average_set_size),
-            repr(t.robust.marginal_coverage), repr(t.robust.average_set_size),
-            str(t.k_m_hat), "true" if t.detection_exact else "false",
-            repr(t.certificate.lower), repr(t.certificate.upper),
-        ]))
-    return rows
+    return [",".join([
+        str(t.trial_index), attack_kind,
+        repr(t.naive.marginal_coverage), repr(t.naive.average_set_size),
+        repr(t.robust.marginal_coverage), repr(t.robust.average_set_size),
+        str(t.k_m_hat), "true" if t.detection_exact else "false",
+        repr(t.certificate.lower), repr(t.certificate.upper),
+    ]) for t in trials]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -176,15 +173,8 @@ def cmd_certify(args) -> None:
 
 def cmd_estimate(args) -> None:
     reports = read_reports(args.reports)
-    estimate = estimate_malicious_count(reports, p=args.p, max_iter=args.max_iter)
-    payload = {
-        "k_m_hat": estimate.k_m_hat,
-        "objective_trace": [[z, t] for z, t in estimate.objective_trace],
-        "iterations": estimate.iterations,
-        "converged": estimate.converged,
-        "cycled": estimate.cycled,
-        "all_benign": estimate.all_benign,
-    }
+    payload = asdict(estimate_malicious_count(reports, p=args.p, max_iter=args.max_iter))
+    del payload["k_b_hat"]  # every other field, in order; the trace's pairs print as lists
     _emit(json.dumps(payload, indent=2), args.out)
 
 

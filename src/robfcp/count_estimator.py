@@ -168,6 +168,7 @@ def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     When the hatch fires the scan's result comes back with ``k_m_hat=0`` and
     ``all_benign=True``: no client is to be filtered.
     """
+    p = _integer("p", p, 1)
     vectors = as_vector_matrix(reports)
     estimate = estimate_benign_count(vectors, p=p, max_iter=max_iter)
     scores = maliciousness_scores(pairwise_distances(vectors, p=p), estimate.k_b_hat)

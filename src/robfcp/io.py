@@ -13,14 +13,7 @@ from .attacks import AttackSpec
 from .errors import ConfigError, FormatError, InputError, _integer
 from .scores import score_batch, validate_probabilities
 from .simulation import SimulationConfig
-from .sketch import ClientReport, report_from_json, report_to_json, sketch_scores, uniform_bin_edges
-
-
-def write_reports(path, reports) -> None:
-    """Write reports as JSONL, one fixed-field-order object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(report_to_json(r) + "\n")
+from .sketch import ClientReport, report_from_json, sketch_scores, uniform_bin_edges
 
 
 def read_reports(path) -> list[ClientReport]:

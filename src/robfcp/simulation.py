@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .attacks import DRAWING_KINDS, OWN_SCORE_KINDS, AttackSpec, apply_attack
+from .attacks import DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, apply_attack
 from .calibration import QuantileEstimate, aggregate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
@@ -255,15 +255,12 @@ class _SampleMode:
 
     def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
         self.config, self.rng, self.edges = config, rng, edges
-        self.profiles = [ClientProfile(i, config.signal[i], config.n_per_client[i])
-                         for i in range(config.K)]
-
-    def scores(self, i: int) -> np.ndarray:
-        return generate_client_data(self.profiles[i], self.config.C, self.config.score_kind,
-                                    self.rng(_ROLE_DATA, i))
 
     def honest_report(self, i: int) -> ClientReport:
-        return sketch_scores(i, self.scores(i), self.edges)
+        config = self.config
+        profile = ClientProfile(i, config.signal[i], config.n_per_client[i])
+        scores = generate_client_data(profile, config.C, config.score_kind, self.rng(_ROLE_DATA, i))
+        return sketch_scores(i, scores, self.edges)
 
     def sigma(self, benign_ids) -> float:
         """Largest l1 gap between the expected vectors of ``benign_ids``.
@@ -288,7 +285,7 @@ class _SampleMode:
     def evaluate(self, quantiles) -> list[EvalMetrics]:
         """Each threshold on one test batch drawn from the benign clients, weights n_k + 1."""
         config = self.config
-        weights = np.array([self.profiles[i].n + 1.0 for i in config.benign_ids])
+        weights = np.array([config.n_per_client[i] + 1.0 for i in config.benign_ids])
         weights /= weights.sum()
         per_client = self.rng(_ROLE_TEST, config.K).multinomial(config.n_test, weights)
         score_rows, label_rows = [], []
@@ -310,20 +307,13 @@ class _DirectMode:
     per-sample generation is wasteful.  The law is uniform: it maximally
     spreads mass, which minimizes the sketch's rank-resolution term
     epsilon = max bin mass (its floor is 1/H); all clients share it, so
-    sigma = 0 exactly.
+    sigma = 0 exactly.  A forger's own report is drawn like an honest one, and
+    its ``gaussian`` forgery K.v_own is exact: the law is uniform within bins.
     """
 
     def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
         self.config, self.rng, self.edges = config, rng, edges
         self.true_v = np.full(config.H, 1.0 / config.H)
-
-    def scores(self, i: int) -> np.ndarray:
-        """Raw scores from the piecewise-uniform law implied by (edges, true_v)."""
-        n = self.config.n_per_client[i]
-        rng = self.rng(_ROLE_DATA, i)
-        bins = rng.choice(self.true_v.size, size=n, p=self.true_v)
-        widths = np.diff(self.edges)
-        return self.edges[bins] + rng.uniform(size=n) * widths[bins]
 
     def honest_report(self, i: int) -> ClientReport:
         n = self.config.n_per_client[i]
@@ -353,12 +343,14 @@ def run_trial(config: SimulationConfig, trial_index: int) -> TrialReport:
 
     benign_reports = [mode.honest_report(i) for i in config.benign_ids]
     reports = list(benign_reports)
+    # A forger gets a generator, or its own honest report, only if its kind reads it.
     draws = config.attack.kind in DRAWING_KINDS
+    own = config.attack.kind in OWN_REPORT_KINDS
     for i in config.malicious_ids:
-        own = mode.scores(i) if config.attack.kind in OWN_SCORE_KINDS else None
         reports.append(apply_attack(config.attack, i, config.n_per_client[i], edges,
                                     rng(_ROLE_ATTACK, i) if draws else None,
-                                    benign_scores=own, benign_reports=benign_reports))
+                                    own_report=mode.honest_report(i) if own else None,
+                                    benign_reports=benign_reports))
 
     result = robust_calibrate(reports, config.alpha,
                               config.k_m if config.km_known else None, config.p_norm)

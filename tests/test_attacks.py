@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from robfcp.attacks import ATTACK_KINDS, DRAWING_KINDS, OWN_SCORE_KINDS, AttackSpec, apply_attack
+from robfcp.attacks import (ATTACK_KINDS, DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec,
+                            _gaussian_kernel, apply_attack)
 from robfcp.errors import InputError
 from robfcp.sketch import sketch_scores, uniform_bin_edges
 
@@ -43,37 +44,101 @@ class TestPointMassAttacks:
         assert r.v[:-1].sum() == 0.0
 
 
+def _kernel(edges, std):
+    return _gaussian_kernel(tuple(np.asarray(edges, dtype=float).tolist()), std)
+
+
+def _clip_and_bin(edges, std, row, draws, rng):
+    """Monte-Carlo oracle for row ``row`` of the kernel: noise uniform points, clip, bin."""
+    x = rng.uniform(edges[row], edges[row + 1], size=draws)
+    counts, _ = np.histogram(np.clip(x + rng.normal(0.0, std, size=draws), 0.0, 1.0),
+                             bins=edges)
+    return counts / draws
+
+
+def _assert_matches_oracle(edges, std, draws=10 ** 6, seed=0):
+    """Every entry within five standard errors of its Monte-Carlo share."""
+    kernel, rng = _kernel(edges, std), _rng(seed)
+    for row in range(edges.size - 1):
+        share = _clip_and_bin(edges, std, row, draws, rng)
+        stderr = np.sqrt(kernel[row] * (1.0 - kernel[row]) / draws)
+        np.testing.assert_array_less(np.abs(share - kernel[row]), 5.0 * stderr + 1e-12)
+
+
+class TestGaussianKernel:
+    @pytest.mark.parametrize("edges", [uniform_bin_edges(1), uniform_bin_edges(2),
+                                       uniform_bin_edges(37),
+                                       np.array([0.0, 0.01, 0.3, 0.31, 0.9, 1.0])])
+    @pytest.mark.parametrize("std", [1e-9, 1e-3, 0.3, 5.0, 1e3])
+    def test_rows_are_laws(self, edges, std):
+        kernel = _kernel(edges, std)
+        assert kernel.shape == (edges.size - 1,) * 2
+        assert kernel.min() >= 0.0
+        np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_std_is_the_identity(self):
+        np.testing.assert_array_equal(_kernel(EDGES, 0.0), np.eye(10))
+
+    @pytest.mark.parametrize("h", [2, 10])
+    def test_clipped_mass_lands_in_the_end_bins(self, h):
+        """With std far above the grid, nearly everything is clipped, half to each end."""
+        kernel = _kernel(uniform_bin_edges(h), 1e3)
+        np.testing.assert_allclose(kernel[:, 0], 0.5, atol=1e-3)
+        np.testing.assert_allclose(kernel[:, -1], 0.5, atol=1e-3)
+
+    def test_two_bins_match_the_oracle(self):
+        _assert_matches_oracle(uniform_bin_edges(2), 0.3, seed=1)
+
+    def test_uneven_edges_match_the_oracle(self):
+        _assert_matches_oracle(np.array([0.0, 0.05, 0.5, 0.55, 1.0]), 0.2, draws=2 * 10 ** 5,
+                               seed=2)
+
+    def test_is_built_once_and_read_only(self):
+        kernel = _kernel(EDGES, 0.25)
+        assert _kernel(EDGES.copy(), 0.25) is kernel
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
+
 class TestHonestAndGaussian:
     def test_none_is_honest_histogram(self):
-        rng = _rng(42)
-        scores = rng.uniform(size=300)
-        r = apply_attack(AttackSpec("none"), 1, 300, EDGES, rng, benign_scores=scores)
-        assert r == sketch_scores(1, scores, EDGES)
+        """``none`` sends the attacker's own report unchanged."""
+        own = sketch_scores(1, _rng(42).uniform(size=300), EDGES)
+        assert apply_attack(AttackSpec("none"), 1, 300, EDGES, None, own_report=own) == own
 
-    def test_none_requires_scores(self):
-        with pytest.raises(InputError):
+    def test_none_requires_own_report(self):
+        with pytest.raises(InputError, match="the none attack requires the client's own report"):
             apply_attack(AttackSpec("none"), 1, 300, EDGES, _rng())
 
     def test_gaussian_matches_clip_and_bin_oracle(self):
-        """Re-derive the noisy histogram with an identical generator stream."""
-        scores = _rng(7).uniform(size=400)
-        r = apply_attack(AttackSpec("gaussian", gaussian_std=0.3), 2, 400, EDGES,
-                         _rng(123), benign_scores=scores)
-        oracle_rng = _rng(123)
-        noisy = np.clip(scores + oracle_rng.normal(0.0, 0.3, size=400), 0.0, 1.0)
-        counts, _ = np.histogram(noisy, bins=EDGES)
-        np.testing.assert_allclose(r.v, counts / 400)
+        """Each kernel row is the clip-and-bin law of a uniform point of its bin."""
+        _assert_matches_oracle(EDGES, 0.3)
+
+    def test_gaussian_sends_the_kernel_times_its_own_vector(self):
+        own = sketch_scores(2, _rng(7).uniform(size=400), EDGES)
+        r = apply_attack(AttackSpec("gaussian", gaussian_std=0.3), 2, 400, EDGES, None,
+                         own_report=own)
+        kernel = _kernel(EDGES, 0.3)
+        expected = sum(own.v[i] * kernel[i] for i in range(10))
+        np.testing.assert_allclose(r.v, expected, rtol=0, atol=1e-15)
+        assert (r.client_id, r.n) == (2, 400)
 
     def test_gaussian_moves_mass_to_extremes(self):
         """Large noise plus clipping piles mass into the edge bins."""
-        scores = np.full(2000, 0.5)
+        own = sketch_scores(0, np.full(2000, 0.5), EDGES)
         r = apply_attack(AttackSpec("gaussian", gaussian_std=2.0), 0, 2000, EDGES,
-                         _rng(5), benign_scores=scores)
+                         None, own_report=own)
         assert r.v[0] + r.v[-1] > 0.5
 
-    def test_gaussian_requires_scores(self):
-        with pytest.raises(InputError):
+    def test_gaussian_requires_own_report(self):
+        with pytest.raises(InputError, match="the gaussian attack requires"):
             apply_attack(AttackSpec("gaussian"), 0, 10, EDGES, _rng())
+
+    @pytest.mark.parametrize("kind", OWN_REPORT_KINDS)
+    def test_own_report_must_share_the_grid(self, kind):
+        own = sketch_scores(0, [0.2, 0.4], uniform_bin_edges(5))
+        with pytest.raises(InputError, match=f"the {kind} attack's source report uses different"):
+            apply_attack(AttackSpec(kind), 0, 2, EDGES, None, own_report=own)
 
 
 class TestMimic:
@@ -122,18 +187,19 @@ class TestGeneratorArgument:
         honest = [sketch_scores(0, [0.1, 0.6], EDGES)]
         with pytest.raises(InputError, match=f"the {kind} attack .* rng=None"):
             apply_attack(AttackSpec(kind), 1, 2, EDGES, None,
-                         benign_scores=[0.1, 0.6], benign_reports=honest)
+                         own_report=honest[0], benign_reports=honest)
 
-    @pytest.mark.parametrize("kind", ["none", "coverage", "efficiency"])
+    @pytest.mark.parametrize("kind", ["none", "coverage", "efficiency", "gaussian"])
     def test_other_kinds_accept_no_generator(self, kind):
-        r = apply_attack(AttackSpec(kind), 1, 2, EDGES, None, benign_scores=[0.1, 0.6])
+        own = sketch_scores(1, [0.1, 0.6], EDGES)
+        r = apply_attack(AttackSpec(kind), 1, 2, EDGES, None, own_report=own)
         assert (r.client_id, r.n) == (1, 2)
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     def test_kind_tables_say_what_each_kind_needs(self, kind):
-        """A kind needs its own scores iff in OWN_SCORE_KINDS, a generator iff in DRAWING_KINDS."""
+        """A kind needs its own report iff in OWN_REPORT_KINDS, a generator iff in DRAWING_KINDS."""
         honest = [sketch_scores(0, [0.1, 0.6], EDGES)]
-        full = dict(benign_scores=[0.1, 0.6], benign_reports=honest)
+        full = dict(own_report=sketch_scores(1, [0.3, 0.9], EDGES), benign_reports=honest)
 
         def error(rng, **inputs):
             try:
@@ -144,6 +210,6 @@ class TestGeneratorArgument:
 
         assert error(_rng(), **full) is None
         assert error(_rng(), benign_reports=honest) == (
-            f"the {kind} attack requires the client's own scores"
-            if kind in OWN_SCORE_KINDS else None)
+            f"the {kind} attack requires the client's own report"
+            if kind in OWN_REPORT_KINDS else None)
         assert (error(None, **full) is None) == (kind not in DRAWING_KINDS)

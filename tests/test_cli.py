@@ -1,15 +1,24 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface.
+
+Most run ``main`` in-process; the error-line cases at the end run
+``python -m robfcp.cli`` as a subprocess, the way a shell sees it.
+"""
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robfcp import count_estimator
 from robfcp.cli import main
-from robfcp.io import read_reports, write_reports
-from robfcp.sketch import ClientReport, sketch_scores, uniform_bin_edges
+from robfcp.io import read_reports
+from robfcp.sketch import ClientReport, report_to_json, sketch_scores, uniform_bin_edges
 
 
 def run_cli(capsys, *argv):
@@ -39,7 +48,7 @@ def reports_path(tmp_path):
     reports += [ClientReport(client_id=7 + j, n=300, v=forged.copy(), edges=edges)
                 for j in range(3)]
     path = tmp_path / "reports.jsonl"
-    write_reports(path, reports)
+    path.write_text("".join(report_to_json(r) + "\n" for r in reports))
     return str(path)
 
 
@@ -297,7 +306,7 @@ class TestEstimate:
         edges = uniform_bin_edges(10)
         reports = [sketch_scores(i, rng.beta(2, 2, size=500), edges) for i in range(8)]
         path = tmp_path / "benign.jsonl"
-        write_reports(path, reports)
+        path.write_text("".join(report_to_json(r) + "\n" for r in reports))
         scan = count_estimator.estimate_benign_count(reports)
         assert scan.k_m_hat > 0  # the scan alone always drops someone
         code, out, _ = run_cli(capsys, "estimate", "--reports", str(path))
@@ -322,6 +331,12 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--reports", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"ERROR:format:{path}:2: invalid report: {field} must be ")
+
+    def test_zero_p_names_p(self, capsys, reports_path):
+        """The same line as ``calibrate --p 0``, not the distance helper's "norm order"."""
+        code, out, err = run_cli(capsys, "estimate", "--reports", reports_path, "--p", "0")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:input:p must be an integer >= 1, got 0\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "estimate", "--reports",
@@ -453,7 +468,8 @@ class TestCalibrate:
                    for r in read_reports(reports_path)]
         rng = np.random.default_rng(1)
         path = tmp_path / "relabelled.jsonl"
-        write_reports(path, [reports[i] for i in rng.permutation(len(reports))])
+        path.write_text("".join(report_to_json(reports[i]) + "\n"
+                                for i in rng.permutation(len(reports))))
         code, out, err = run_cli(capsys, "calibrate", "--reports", str(path),
                                  "--alpha", "0.1", *mode)
         assert (code, err) == (0, "")
@@ -488,3 +504,94 @@ def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
     assert err.startswith("ERROR:usage:")
+
+
+_CERTIFY = ["certify", "--alpha", "0.1", "--beta", "0.05", "--H", "10", "--kb", "9", "--km", "1",
+            "--nb", "1000000", "--nm", "1000000"]
+_SIX = '{"K": 6, "k_m": 1, "n_per_client": 10, "C": 3'
+_PROBS = "client_id,label,p_0,p_1\n0,0,0.6,0.4\n1,1,0.3,0.7\n"
+
+#: case -> (input file name and text, or None; arguments; the one stderr line).
+#: Each case runs in its own working directory, where its input file is written.
+ERROR_CASES = {
+    "config_string_count": (
+        ("in.json", '{"K": "ten", "k_m": 1, "n_per_client": 10, "C": 3}'),
+        ["simulate", "--config", "in.json"],
+        "ERROR:config:K must be an integer >= 2, got 'ten'"),
+    "input_nan_sigma": (
+        None, [*_CERTIFY, "--sigma", "nan"],
+        "ERROR:input:sigma must be a number in [0.0, 2.0], got nan"),
+    "format_negative_client_id": (
+        ("in.csv", "client_id,label,p_0,p_1\n0,0,0.6,0.4\n-1,1,0.3,0.7\n"),
+        ["calibrate", "--csv", "in.csv", "--alpha", "0.5", "--kb", "3"],
+        "ERROR:format:in.csv:3: client_id -1 is negative"),
+    "input_negative_seed": (
+        ("in.csv", _PROBS),
+        ["calibrate", "--csv", "in.csv", "--alpha", "0.5", "--kb", "2", "--seed", "-1"],
+        "ERROR:input:seed must be an integer >= 0, got -1"),
+    "input_calibrate_zero_p": (
+        ("in.csv", _PROBS),
+        ["calibrate", "--csv", "in.csv", "--alpha", "0.5", "--kb", "2", "--p", "0"],
+        "ERROR:input:p must be an integer >= 1, got 0"),
+    "input_estimate_zero_p": (
+        ("in.jsonl", "".join(f'{{"client_id": {i}, "n": 10, "edges": [0.0, 0.5, 1.0], '
+                             f'"v": [0.5, 0.5]}}\n' for i in range(4))),
+        ["estimate", "--reports", "in.jsonl", "--p", "0"],
+        "ERROR:input:p must be an integer >= 1, got 0"),
+    "input_zero_threads": (
+        ("in.json", _SIX + "}"),
+        ["simulate", "--config", "in.json", "--threads", "0"],
+        "ERROR:input:--threads must be an integer >= 1, got 0"),
+    "config_removed_key": (
+        ("in.json", _SIX + ', "dirichlet_beta": 0.5}'),
+        ["simulate", "--config", "in.json"],
+        "ERROR:config:unknown config key: 'dirichlet_beta'"),
+    "config_removed_attack_field": (
+        ("in.json", _SIX + ', "attack": {"kind": "coverage", "direction_override": "mass_high"}}'),
+        ["simulate", "--config", "in.json"],
+        "ERROR:config:attack: unknown fields: ['direction_override']"),
+    "format_nan_edge": (
+        ("in.jsonl", "".join(f'{{"client_id": {i}, "n": 10, "edges": [0.0, NaN, 1.0], '
+                             f'"v": [0.5, 0.5]}}\n' for i in range(3))),
+        ["calibrate", "--reports", "in.jsonl", "--alpha", "0.5", "--kb", "3"],
+        "ERROR:format:in.jsonl:1: invalid report: edges must be strictly increasing"),
+    "config_string_std": (
+        ("in.json", _SIX + ', "attack": {"kind": "gaussian", "gaussian_std": "x"}}'),
+        ["simulate", "--config", "in.json"],
+        "ERROR:config:attack: gaussian_std must be a number in (0.0, inf), got 'x'"),
+    "config_boolean_signal": (
+        ("in.json", _SIX + ', "signal": true}'),
+        ["simulate", "--config", "in.json"],
+        "ERROR:config:signal must be a number in (-inf, inf), got True"),
+    "usage_stray_flag": (
+        None, [*_CERTIFY, "--kb-reported", "12"],
+        "ERROR:usage:--kb-reported goes with --variant overestimate, and only with it"),
+}
+
+
+def _run_module(work_dir: Path, case) -> subprocess.CompletedProcess:
+    infile, argv, _ = case
+    work_dir.mkdir()
+    if infile is not None:
+        (work_dir / infile[0]).write_text(infile[1])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "robfcp.cli", *argv], cwd=work_dir, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def module_runs(tmp_path_factory):
+    """Every error case's process, four at a time: each start-up imports numpy."""
+    root = tmp_path_factory.mktemp("cli_errors")
+    with ThreadPoolExecutor(4) as pool:
+        runs = pool.map(lambda item: _run_module(root / item[0], item[1]), ERROR_CASES.items())
+        return dict(zip(ERROR_CASES, runs))
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_module_error_line(module_runs, case):
+    """Bad input exits 2 with exactly one ERROR:<code>: line and no output."""
+    run = module_runs[case]
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", ERROR_CASES[case][2] + "\n")

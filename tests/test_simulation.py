@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robfcp import simulation, sketch
-from robfcp.attacks import AttackSpec
+from robfcp.attacks import ATTACK_KINDS, OWN_REPORT_KINDS, AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
 from robfcp.certify import CertificateParams, coverage_bounds, heterogeneity_sigma
 from robfcp.count_estimator import estimate_malicious_count
@@ -217,6 +217,31 @@ class TestRunTrial:
         assert report.k_m_hat == 3
         assert sorted(reconstructed) == list(range(10))
         assert simulation._ROLE_ATTACK not in roles
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_forger_draws_its_own_data_only_if_its_kind_reads_it(self, monkeypatch, kind):
+        keys, make_rng = [], simulation._rng
+        monkeypatch.setattr(simulation, "_rng", lambda *key: keys.append(key[2:]) or make_rng(*key))
+        cfg = _config(K=6, k_m=2, attack=AttackSpec(kind))
+        run_trial(cfg, 0)
+        drawn = {i for role, i in keys if role == simulation._ROLE_DATA}
+        assert drawn - set(cfg.benign_ids) == (
+            set(cfg.malicious_ids) if kind in OWN_REPORT_KINDS else set())
+
+    @pytest.mark.parametrize("mode", ["histogram_direct", "sample"])
+    def test_none_forger_sends_its_honest_report(self, monkeypatch, mode):
+        sent, calibrate = [], simulation.robust_calibrate
+
+        def recorded(reports, *args):
+            sent.extend(reports)
+            return calibrate(reports, *args)
+
+        monkeypatch.setattr(simulation, "robust_calibrate", recorded)
+        cfg = _config(K=6, k_m=2, H=10, attack=AttackSpec("none"), mode=mode)
+        run_trial(cfg, 0)
+        mode_cls = simulation._DirectMode if mode == "histogram_direct" else simulation._SampleMode
+        honest = mode_cls(cfg, partial(simulation._rng, cfg.seed, 0), uniform_bin_edges(cfg.H))
+        assert sent == [honest.honest_report(i) for i in range(cfg.K)]
 
     def test_unknown_count_benign_escape_hatch(self):
         cfg = _config(K=10, k_m=0, km_known=False)
