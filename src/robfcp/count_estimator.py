@@ -24,7 +24,7 @@ implementation choice, not the paper's.  It keeps the fit well-posed when
 z <= H leaves M_z singular, as it always is for histogram vectors on the
 simplex, and because c does not move with z, each split adds a rank-one term
 to M_z + c I: :func:`objective_T` walks all splits of one ordering in one
-pass of Sherman-Morrison updates, with numpy ufuncs and reductions only.
+pass of Sherman-Morrison updates, made of ``np.einsum`` calls without BLAS.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ PRIOR_RHO = 1.0
 PRIOR_FLOOR = 1e-8
 
 
+def _add_row(d, w, z: int) -> float:
+    """Add the row with U_z = d and W_z = w[0] to a cluster of z: update w[1:], return beta."""
+    p = w[0]
+    wd = np.einsum("ij,j->i", w, d)
+    s = float(wd[0])
+    beta = z / (z + 1.0 + z * s)
+    w[1:] -= (beta * wd[1:] + (1.0 - beta * s) / (z + 1))[:, None] * p
+    return beta
+
+
 def objective_T(ordered_vectors) -> np.ndarray:
     """T(z) at every split z = floor(K/2) + 1, ..., K - 1 of one ordering, in one pass.
 
@@ -53,37 +63,50 @@ def objective_T(ordered_vectors) -> np.ndarray:
 
         T(z) = (z * mean_{j >= z} U_j P U_j - (H - c tr P)) / 2.
 
-    The pass starts at z = 1 (mu = x_0, P = I / c) and keeps W = U P only
-    for the rows not yet in the cluster.  Adding row z, with d = U_z,
-    p = W_z, s = d.p, gamma = z / (z + 1) and beta = gamma / (1 + gamma s),
-    moves P to P - beta p p', tr P by -beta |p|^2, U by -d / (z + 1) and W by
-    -g p', where g = beta W d + (1 - beta s) / (z + 1).  Each step is
-    O(K * H) time and the pass O(K * H) memory; nothing reaches BLAS.
+    The pass starts at z = 1 (mu = x_0, P = I / c) and keeps W = U P for rows
+    not yet in the cluster.  Adding row z, with d = U_z, p = W_z, s = d.p,
+    gamma = z / (z + 1) and beta = gamma / (1 + gamma s), moves P to
+    P - beta p p', U by -d / (z + 1) and W by -g p', where g = beta W d +
+    (1 - beta s) / (z + 1); so H - c tr P = c sum_z beta_z |p_z|^2.
+
+    Splits below z0 = floor(K/2) + 1 record nothing, so the warm-up adds rows
+    1 .. z0 - 1 updating W of the head rows still out alone (d comes from a
+    running mean, so U is not kept), and keeps each p_z and beta_z.
+    Since P_z0 = I / c - sum_z beta_z p_z p_z', the tail rows then start at
+    W = U / c - ((U P') * beta) P, with P the stacked p_z.  Each reduction is
+    one ``np.einsum`` call; with its default ``optimize=False`` it runs
+    numpy's own loops, so nothing reaches BLAS.  Time is O(K^2 H); memory is
+    O(K H) for U and W plus the O(K^2) (K - z0) x (z0 - 1) contraction.
     """
     x = as_vector_matrix(ordered_vectors)
     k, h = x.shape
     if k < 3:
         raise InputError(f"need at least 3 vectors to scan split points, got {k}")
     first = k // 2 + 1
-    head = x[:first] - x[:first].mean(axis=0)
+    mean = x[:first].mean(axis=0)
+    head = x[:first] - mean
     c = max(PRIOR_RHO * float((head * head).sum()) / h, PRIOR_FLOOR)
-    u = x[1:] - x[0]
-    w = u / c
-    trace_p = h / c
-    curve = np.empty(k - first)
-    for z in range(1, k - 1):
-        d, p = u[0], w[0]
-        u, w = u[1:], w[1:]
-        s = float((d * p).sum())
-        beta = z / (z + 1.0 + z * s)
-        g = beta * (w * d).sum(axis=1) + (1.0 - beta * s) / (z + 1)
-        w -= g[:, None] * p
-        u -= d / (z + 1)
-        trace_p -= beta * float((p * p).sum())
-        if z + 1 >= first:
-            quad = (w * u).sum(axis=1).mean()
-            curve[z + 1 - first] = 0.5 * ((z + 1) * quad - (h - c * trace_p))
-    return curve
+    w = np.empty((k - 1, h))  # row z - 1 ends as p_z, the last row as the final W
+    w[:first - 1] = (x[1:first] - x[0]) / c
+    betas = np.empty(k - 2)
+    mu = x[0].copy()
+    for z in range(1, first):
+        d = x[z] - mu
+        betas[z - 1] = _add_row(d, w[z - 1:first - 1], z)
+        mu += d / (z + 1)
+    p, tail = w[:first - 1], w[first - 1:]
+    u = x[first:] - mean
+    tail[:] = u / c - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", u, p) * betas[:first - 1], p)
+    sums = np.empty(k - first)
+    for z in range(first, k):
+        i = z - first
+        sums[i] = np.einsum("ij,ij->", tail[i:], u[i:])
+        if z < k - 1:
+            betas[z - 1] = _add_row(u[i], tail[i:], z)
+            u[i + 1:] -= u[i] / (z + 1)
+    fits = np.cumsum(np.einsum("ij,ij->i", w[:-1], w[:-1]) * betas)[first - 2:]
+    zs = np.arange(first, k)
+    return 0.5 * (zs * sums / (k - zs) - c * fits)
 
 
 @dataclass(frozen=True)

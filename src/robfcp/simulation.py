@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .attacks import DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, apply_attack
+from .attacks import DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, _gaussian_kernel, apply_attack
 from .calibration import QuantileEstimate, aggregate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
@@ -428,6 +428,10 @@ def monte_carlo(config: SimulationConfig, max_workers: int | None = None) -> Mon
         # Forking is safe although numpy has started OpenBLAS's idle threads:
         # robfcp makes no BLAS call, so no child waits on their locks.
         context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        # Forked workers inherit the kernel cache: build K here, once, not once per worker.
+        if config.attack.kind == "gaussian":
+            edges = tuple(uniform_bin_edges(config.H).tolist())
+            _gaussian_kernel(edges, config.attack.gaussian_std)
         with ProcessPoolExecutor(min(workers, config.trials), mp_context=context) as pool:
             trials = list(pool.map(partial(run_trial, config), indices))
     return MonteCarloResult(trials=tuple(trials), aggregates=summarize(trials))

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
@@ -85,16 +85,11 @@ def _oracle_scan(x, max_iter=10):
     return k_hat, iterations, list(zip(zs, ts))
 
 
-@st.composite
-def federations(draw):
-    """A Dirichlet cluster of benign histograms plus a minority of outliers."""
-    k_b = draw(st.integers(3, 24))
-    k_m = draw(st.integers(max(0, 4 - k_b), k_b - 1))
-    h = draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _federation(k_b, k_m, h, seed, concentration=300.0, kind="point_mass"):
+    """A Dirichlet cluster of k_b benign histograms plus k_m outliers, shuffled."""
+    rng = np.random.default_rng(seed)
     base = rng.dirichlet(np.ones(h))
-    benign = rng.dirichlet(draw(st.sampled_from((30.0, 300.0, 3000.0))) * base + 1e-3, size=k_b)
-    kind = draw(st.sampled_from(("point_mass", "other_cluster", "jitter")))
+    benign = rng.dirichlet(concentration * base + 1e-3, size=k_b)
     if kind == "point_mass":
         forged = np.eye(h)[rng.integers(0, h, size=k_m)]
     elif kind == "other_cluster":
@@ -104,6 +99,18 @@ def federations(draw):
     return np.vstack([benign, forged])[rng.permutation(k_b + k_m)]
 
 
+@st.composite
+def federations(draw):
+    """A Dirichlet cluster of benign histograms plus a minority of outliers."""
+    k_b = draw(st.integers(3, 24))
+    k_m = draw(st.integers(max(0, 4 - k_b), k_b - 1))
+    h = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    concentration = draw(st.sampled_from((30.0, 300.0, 3000.0)))
+    kind = draw(st.sampled_from(("point_mass", "other_cluster", "jitter")))
+    return _federation(k_b, k_m, h, seed, concentration, kind)
+
+
 SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -111,6 +118,9 @@ class TestScanMatchesOracle:
     """The one-pass curve and the scan agree with a direct fit and score of every split."""
 
     @SWEEP
+    @example(x=_federation(80, 20, 100, 1))  # the benchmark's K = H = 100
+    @example(x=_federation(120, 30, 20, 2, kind="other_cluster"))  # K and H past the sweep
+    @example(x=_federation(24, 6, 200, 3, kind="jitter"))
     @given(x=federations())
     def test_objective(self, x):
         curve = objective_T(x)

@@ -1,5 +1,6 @@
 """Tests for the seeded federated simulation harness."""
 
+import ast
 import math
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robfcp import simulation, sketch
+from robfcp import attacks, simulation, sketch
 from robfcp.attacks import ATTACK_KINDS, OWN_REPORT_KINDS, AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
 from robfcp.certify import CertificateParams, coverage_bounds, heterogeneity_sigma
@@ -354,6 +355,44 @@ def test_trial_runs_without_scipy():
     assert done.stdout.strip() == "2"
 
 
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "cov", "corrcoef"}
+
+
+def _blas_uses(tree):
+    """The lines of a module that can reach BLAS, or an einsum that may choose to."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node.lineno, "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any("linalg" in name for name in names):
+                yield node.lineno, "linalg"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS:
+                yield node.lineno, name
+            elif name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords):
+                yield node.lineno, "einsum(optimize=...)"
+
+
+def test_src_makes_no_blas_call():
+    """monte_carlo forks after numpy started OpenBLAS's threads, which is safe only without BLAS."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "robfcp")
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                uses = list(_blas_uses(ast.parse(f.read())))
+            if uses:
+                found[name] = uses
+    assert found == {}
+    bad = ("x @ y; x @= y; np.linalg.norm(x); from numpy.linalg import norm; np.dot(x, y)\n"
+           "x.dot(y); np.cov(x); np.einsum('ij,jk', x, y, optimize=True)\n")
+    assert len(list(_blas_uses(ast.parse(bad)))) == 8
+
+
 class TestDirectMode:
     def test_coverage_is_exact_bin_mass(self):
         cfg = _config(K=6, k_m=0, n_per_client=5000, H=10, alpha=0.05,
@@ -527,6 +566,16 @@ class TestMonteCarlo:
             assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
         assert raised[0][1].startswith("alpha=0.1 below admissibility floor 0.333333")
+
+    def test_gaussian_kernel_is_built_before_the_fork(self):
+        """Workers inherit K from the parent's cache, under the key the trials look up."""
+        cfg = _config(K=6, k_m=2, n_per_client=200, n_test=100, H=20, trials=2,
+                      attack=AttackSpec("gaussian", gaussian_std=0.3))
+        attacks._gaussian_kernel.cache_clear()
+        monte_carlo(cfg, max_workers=2)
+        assert attacks._gaussian_kernel.cache_info().currsize == 1
+        run_trial(cfg, 0)
+        assert attacks._gaussian_kernel.cache_info().misses == 1
 
     def test_aggregates_match_manual_summary(self):
         result = monte_carlo(_config(trials=3, n_test=150, n_per_client=150))
