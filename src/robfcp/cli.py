@@ -22,11 +22,9 @@ from .count_estimator import estimate_malicious_count
 from .errors import RobfcpError, _integer
 from .io import config_echo, config_from_dict, parse_config, read_reports, reports_from_csv
 from .scores import SCORE_KINDS
-from .simulation import TrialReport, monte_carlo, robust_calibrate
+from .simulation import TrialReport, monte_carlo, robust_calibrate, trial_columns
 
 _SWEEP_ALIASES = {"km": "k_m", "n": "n_per_client"}
-_CSV_HEADER = ("trial,attack,naive_cov,naive_size,rob_cov,rob_size,"
-               "km_hat,detect_exact,bound_lo,bound_hi")
 
 
 class CliUsageError(RobfcpError):
@@ -58,14 +56,18 @@ def _trial_dict(t: TrialReport) -> dict:
     }
 
 
-def _csv_rows(attack_kind: str, trials) -> list[str]:
-    return [",".join([
-        str(t.trial_index), attack_kind,
-        repr(t.naive.marginal_coverage), repr(t.naive.average_set_size),
-        repr(t.robust.marginal_coverage), repr(t.robust.average_set_size),
-        str(t.k_m_hat), "true" if t.detection_exact else "false",
-        repr(t.certificate.lower), repr(t.certificate.upper),
-    ]) for t in trials]
+def _csv_cell(value) -> str:
+    """A bool as ``true``/``false``, anything else as its repr: floats round-trip."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def _reject_unread(flags: dict, mode: str) -> None:
+    """A flag the mode does not read is an error, not a silent no-op."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise CliUsageError(f"{flag} goes with {mode}, and only with it")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -104,7 +106,7 @@ def cmd_simulate(args) -> None:
         _integer("--threads", args.threads, 1)
     config = parse_config(args.config)
     echo = config_echo(config)
-    csv_blocks: list[tuple[str, tuple]] = []
+    csv_rows: list[tuple[str, TrialReport]] = []
 
     if args.sweep:
         key, values = _parse_sweep(args.sweep, _SWEEP_ALIASES)
@@ -117,19 +119,19 @@ def cmd_simulate(args) -> None:
             swept = config_from_dict({**echo, key: value})
             result = monte_carlo(swept, max_workers=args.threads)
             rows.append({"value": value, "aggregates": result.aggregates})
-            csv_blocks.append((swept.attack.kind, result.trials))
+            csv_rows += [(swept.attack.kind, t) for t in result.trials]
         report = {"config_echo": echo, "sweep": {"key": key, "rows": rows}}
     else:
         result = monte_carlo(config, max_workers=args.threads)
-        csv_blocks.append((config.attack.kind, result.trials))
+        csv_rows += [(config.attack.kind, t) for t in result.trials]
         report = {"config_echo": echo, "aggregates": result.aggregates,
                   "trials": [_trial_dict(t) for t in result.trials]}
 
     _emit(json.dumps(report, indent=2), args.out)
     if args.csv:
-        lines = [_CSV_HEADER]
-        for kind, trials in csv_blocks:
-            lines.extend(_csv_rows(kind, trials))
+        lines = [",".join(["trial", "attack", *trial_columns(csv_rows[0][1])])]
+        lines += [",".join([str(t.trial_index), kind, *map(_csv_cell, trial_columns(t).values())])
+                  for kind, t in csv_rows]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -137,10 +139,11 @@ def cmd_simulate(args) -> None:
 # --- certify ---
 
 def _one_certificate(args, nb: int) -> CoverageCertificate:
+    # --km, --nm and --sigma are None only for overestimate, which reads none of them.
     params = CertificateParams(
         alpha=args.alpha, beta=args.beta, num_bins=args.H, num_benign=args.kb,
-        num_malicious=args.km, min_benign_n=nb, total_malicious_n=args.nm,
-        sigma=args.sigma, epsilon=args.epsilon)
+        num_malicious=args.km or 0, min_benign_n=nb, total_malicious_n=args.nm or 0,
+        sigma=args.sigma or 0.0, epsilon=args.epsilon)
     if args.variant == "normal":
         return coverage_bounds(params)
     if args.variant == "dkw":
@@ -149,9 +152,13 @@ def _one_certificate(args, nb: int) -> CoverageCertificate:
 
 
 def cmd_certify(args) -> None:
-    # A flag the mode does not read is an error, not a silent no-op.
     if (args.variant == "overestimate") != (args.kb_reported is not None):
         raise CliUsageError("--kb-reported goes with --variant overestimate, and only with it")
+    if args.variant == "overestimate":
+        _reject_unread({"--km": args.km, "--nm": args.nm, "--sigma": args.sigma},
+                       "--variant normal or dkw")
+    elif args.km is None or args.nm is None:
+        raise CliUsageError(f"--variant {args.variant} needs --km and --nm")
     if (args.nb is None) == (args.sweep is None):
         raise CliUsageError("certify needs exactly one of --nb or --sweep nb=...")
     if args.sweep is not None:
@@ -161,8 +168,8 @@ def cmd_certify(args) -> None:
         lines = ["nb,lower,upper,p_byz,vacuous"]
         for nb in values:
             cert = _one_certificate(args, nb)
-            lines.append(",".join([str(nb), repr(cert.lower), repr(cert.upper),
-                                   repr(cert.p_byz), "true" if cert.vacuous else "false"]))
+            lines.append(",".join(map(_csv_cell, (nb, cert.lower, cert.upper, cert.p_byz,
+                                                  cert.vacuous))))
         _emit("\n".join(lines), args.out)
         return
     cert = _one_certificate(args, args.nb)
@@ -184,10 +191,12 @@ def cmd_calibrate(args) -> None:
     if (args.reports is None) == (args.csv is None):
         raise CliUsageError("calibrate needs exactly one of --reports or --csv")
     if args.reports is not None:
+        _reject_unread({"--score-kind": args.score_kind, "--bins": args.bins,
+                        "--seed": args.seed}, "--csv")
         reports = read_reports(args.reports)
     else:
-        reports = reports_from_csv(args.csv, score_kind=args.score_kind,
-                                   num_bins=args.bins, seed=args.seed)
+        given = {"score_kind": args.score_kind, "num_bins": args.bins, "seed": args.seed}
+        reports = reports_from_csv(args.csv, **{k: v for k, v in given.items() if v is not None})
     if (args.kb is None) == (not args.estimate_km):
         raise CliUsageError("calibrate needs exactly one of --kb or --estimate-km")
 
@@ -218,10 +227,10 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--beta", type=float, required=True)
     p_cert.add_argument("--H", type=int, required=True)
     p_cert.add_argument("--kb", type=int, required=True)
-    p_cert.add_argument("--km", type=int, required=True)
+    p_cert.add_argument("--km", type=int, default=None)
     p_cert.add_argument("--nb", type=int, default=None)
-    p_cert.add_argument("--nm", type=int, required=True)
-    p_cert.add_argument("--sigma", type=float, default=0.0)
+    p_cert.add_argument("--nm", type=int, default=None)
+    p_cert.add_argument("--sigma", type=float, default=None, help="normal and dkw (default: 0)")
     p_cert.add_argument("--epsilon", type=float, default=0.0)
     p_cert.add_argument("--variant", default="normal",
                         choices=("normal", "dkw", "overestimate"))
@@ -238,9 +247,10 @@ def build_parser() -> _Parser:
     p_cal = sub.add_parser("calibrate", help="screen reports and compute the threshold")
     p_cal.add_argument("--reports", default=None)
     p_cal.add_argument("--csv", default=None, help="score CSV (client_id,label,p_0,...)")
-    p_cal.add_argument("--score-kind", default="lac", choices=SCORE_KINDS, dest="score_kind")
-    p_cal.add_argument("--bins", type=int, default=100)
-    p_cal.add_argument("--seed", type=int, default=0, help="seed for aps randomization")
+    p_cal.add_argument("--score-kind", choices=SCORE_KINDS, dest="score_kind",
+                       help="--csv only (default: lac)")
+    p_cal.add_argument("--bins", type=int, help="--csv only (default: 100)")
+    p_cal.add_argument("--seed", type=int, help="--csv only: aps randomization seed (default: 0)")
     p_cal.add_argument("--alpha", type=float, required=True)
     p_cal.add_argument("--kb", type=int, default=None)
     p_cal.add_argument("--estimate-km", action="store_true", dest="estimate_km")
@@ -254,14 +264,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            cmd_simulate(args)
-        elif args.command == "certify":
-            cmd_certify(args)
-        elif args.command == "estimate":
-            cmd_estimate(args)
-        else:
-            cmd_calibrate(args)
+        {"simulate": cmd_simulate, "certify": cmd_certify, "estimate": cmd_estimate,
+         "calibrate": cmd_calibrate}[args.command](args)
         return 0
     except RobfcpError as exc:
         print(f"ERROR:{exc.code}:{exc}", file=sys.stderr)

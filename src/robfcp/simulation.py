@@ -22,14 +22,14 @@ from functools import partial
 
 import numpy as np
 
-from .attacks import DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, _gaussian_kernel, apply_attack
+from .attacks import DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, apply_attack
 from .calibration import QuantileEstimate, aggregate, federated_quantile
 from .certify import CertificateParams, CoverageCertificate, coverage_bounds, heterogeneity_sigma, sketch_epsilon
 from .count_estimator import estimate_malicious_count
 from .detection import as_vector_matrix, rank_reports
 from .errors import ConfigError, InputError, _integer, _real
 from .scores import SCORE_KINDS, _score_batch
-from .sketch import ClientReport, sketch_scores, uniform_bin_edges
+from .sketch import ClientReport, histogram_characterize, sketch_scores, uniform_bin_edges
 
 MODES = ("sample", "histogram_direct")
 
@@ -278,9 +278,8 @@ class _SampleMode:
         """Monte-Carlo estimate of the bin masses of client i's score law."""
         rng = self.rng(_ROLE_SIGMA, i)
         probs, labels = _draw_rows(self.config.C, self.config.signal[i], _SIGMA_REFERENCE_N, rng)
-        counts, _ = np.histogram(_score_batch(probs, labels, self.config.score_kind, rng),
-                                 bins=self.edges)
-        return counts / _SIGMA_REFERENCE_N
+        return histogram_characterize(_score_batch(probs, labels, self.config.score_kind, rng),
+                                      self.edges)
 
     def evaluate(self, quantiles) -> list[EvalMetrics]:
         """Each threshold on one test batch drawn from the benign clients, weights n_k + 1."""
@@ -379,47 +378,46 @@ class MonteCarloResult:
     aggregates: dict
 
 
-def _summary(values: np.ndarray) -> dict:
-    return {"mean": float(values.mean()), "std": float(values.std()),
-            "min": float(values.min()), "max": float(values.max())}
+def trial_columns(t: TrialReport) -> dict:
+    """One trial's value columns, in the order of the ``simulate --csv`` columns."""
+    return {"naive_cov": t.naive.marginal_coverage, "naive_size": t.naive.average_set_size,
+            "rob_cov": t.robust.marginal_coverage, "rob_size": t.robust.average_set_size,
+            "km_hat": t.k_m_hat, "detect_exact": t.detection_exact,
+            "bound_lo": t.certificate.lower, "bound_hi": t.certificate.upper}
 
 
 def summarize(trials) -> dict:
-    """Deterministic per-metric aggregates over an ordered trial list."""
-    trials = list(trials)
-    if not trials:
+    """Mean, std, min and max of each numeric :func:`trial_columns` entry, then each bool's rate."""
+    rows = [trial_columns(t) for t in trials]
+    if not rows:
         raise InputError("need at least one trial to summarize")
-    columns = {
-        "naive_cov": [t.naive.marginal_coverage for t in trials],
-        "naive_size": [t.naive.average_set_size for t in trials],
-        "rob_cov": [t.robust.marginal_coverage for t in trials],
-        "rob_size": [t.robust.average_set_size for t in trials],
-        "km_hat": [t.k_m_hat for t in trials],
-        "bound_lo": [t.certificate.lower for t in trials],
-        "bound_hi": [t.certificate.upper for t in trials],
-    }
-    out = {name: _summary(np.array(vals, dtype=float)) for name, vals in columns.items()}
-    out["detect_exact"] = {"rate": float(np.mean([t.detection_exact for t in trials]))}
+    out = {}
+    for name, first in sorted(rows[0].items(), key=lambda item: isinstance(item[1], bool)):
+        values = np.array([row[name] for row in rows], dtype=float)
+        out[name] = {"rate": float(values.mean())} if isinstance(first, bool) else {
+            "mean": float(values.mean()), "std": float(values.std()),
+            "min": float(values.min()), "max": float(values.max())}
     return out
 
 
 def monte_carlo(config: SimulationConfig, max_workers: int | None = None) -> MonteCarloResult:
     """Run all trials and reduce in trial order.
 
-    One worker, or one trial, runs the trials in this process.  Otherwise
-    ``min(workers, trials)`` worker processes run them: a trial is many small
-    numpy calls that hold the interpreter lock, so threads would take turns on
-    one core.  On Linux the workers are forked, so they start with robfcp and
-    numpy already imported; elsewhere the platform's default start method
-    (``spawn``) re-imports them, and a script must call this under
-    ``if __name__ == "__main__":``.  A trial's streams depend only on its
-    index, so the result is the same for any worker count, and a trial's
-    error is raised here with its type and message.
+    Trial 0 runs in this process, and so do the rest with one worker.  Else
+    ``min(workers, trials - 1)`` worker processes run them: a trial is many
+    small numpy calls that hold the interpreter lock, so threads would take
+    turns on one core.  On Linux the workers are forked after trial 0, so they
+    inherit robfcp, numpy and every cache that trial built; elsewhere the
+    platform's default start method (``spawn``) re-imports them, and a script
+    must call this under ``if __name__ == "__main__":``.  A trial's streams
+    depend only on its index, so the result is the same for any worker count,
+    and a trial's error is raised here with its type and message.
     """
     workers = resolve_workers(max_workers)
-    indices = range(config.trials)
-    if workers == 1 or config.trials == 1:
-        trials = [run_trial(config, i) for i in indices]
+    trials = [run_trial(config, 0)]
+    rest = range(1, config.trials)
+    if workers == 1 or not rest:
+        trials += [run_trial(config, i) for i in rest]
     else:
         # Imported here so a serial run never pays for the process pool.
         import multiprocessing
@@ -428,10 +426,6 @@ def monte_carlo(config: SimulationConfig, max_workers: int | None = None) -> Mon
         # Forking is safe although numpy has started OpenBLAS's idle threads:
         # robfcp makes no BLAS call, so no child waits on their locks.
         context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-        # Forked workers inherit the kernel cache: build K here, once, not once per worker.
-        if config.attack.kind == "gaussian":
-            edges = tuple(uniform_bin_edges(config.H).tolist())
-            _gaussian_kernel(edges, config.attack.gaussian_std)
-        with ProcessPoolExecutor(min(workers, config.trials), mp_context=context) as pool:
-            trials = list(pool.map(partial(run_trial, config), indices))
+        with ProcessPoolExecutor(min(workers, len(rest)), mp_context=context) as pool:
+            trials += pool.map(partial(run_trial, config), rest)
     return MonteCarloResult(trials=tuple(trials), aggregates=summarize(trials))

@@ -15,10 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robfcp import count_estimator
+from robfcp import count_estimator, simulation
 from robfcp.cli import main
+from robfcp.errors import InputError
 from robfcp.io import read_reports
+from robfcp.simulation import run_trial
 from robfcp.sketch import ClientReport, report_to_json, sketch_scores, uniform_bin_edges
+
+
+def _fail_in_a_worker(config, trial_index):
+    """``run_trial`` for trial 0, which runs before the fork; a worker's trial raises."""
+    if trial_index == 0:
+        return run_trial(config, 0)
+    raise InputError(f"trial {trial_index} failed in process {os.getpid()}")
 
 
 def run_cli(capsys, *argv):
@@ -88,13 +97,12 @@ class TestSimulate:
                 "--threads", "4")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_trial_error_from_a_worker_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "floor.json"
-        path.write_text(json.dumps({"K": 4, "k_m": 1, "n_per_client": 2, "C": 3, "H": 4,
-                                    "alpha": 0.1, "trials": 3}))
-        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--threads", "2")
+    def test_trial_error_from_a_worker_exits_2(self, capsys, config_path, monkeypatch):
+        monkeypatch.setattr(simulation, "run_trial", _fail_in_a_worker)  # the fork inherits it
+        code, out, err = run_cli(capsys, "simulate", "--config", config_path, "--threads", "2")
         assert code == 2 and out == ""
-        assert err.startswith("ERROR:input:alpha=0.1 below admissibility floor")
+        assert err.startswith("ERROR:input:trial 1 failed in process ")
+        assert err != f"ERROR:input:trial 1 failed in process {os.getpid()}\n"
         assert multiprocessing.active_children() == []
 
     def test_zero_threads_names_the_flag(self, capsys, config_path):
@@ -223,14 +231,35 @@ class TestCertify:
         interval = {"--sigma": "[0.0, 2.0]", "--epsilon": "[0.0, 1.0]"}[flag]
         assert err.startswith(f"ERROR:input:{flag[2:]} must be a number in {interval}, got ")
 
+    #: What ``overestimate`` reads: no --km, --nm or --sigma.
+    OVERESTIMATE = ["certify", "--alpha", "0.1", "--beta", "0.05", "--H", "10", "--kb", "9",
+                    "--epsilon", "0.001", "--nb", "1000000", "--variant", "overestimate"]
+
     def test_overestimate_needs_reported(self, capsys):
-        code, _, err = run_cli(capsys, *self.BASE, "--nb", "1000000",
-                               "--variant", "overestimate")
+        code, _, err = run_cli(capsys, *self.OVERESTIMATE)
         assert code == 2 and err.startswith("ERROR:usage:")
-        code, out, _ = run_cli(capsys, *self.BASE, "--nb", "1000000",
-                               "--variant", "overestimate", "--kb-reported", "12")
-        assert code == 0
-        assert json.loads(out)["variant"] == "overestimate"
+        code, out, err = run_cli(capsys, *self.OVERESTIMATE, "--kb-reported", "12")
+        assert (code, err) == (0, "")
+        # The bytes it printed when --km, --nm and --sigma were required (and ignored).
+        assert out == ('{\n  "lower": 0.6360523854937156,\n  "upper": 1.1639556234342041,\n'
+                       '  "p_byz": 0.26294662351520337,\n  "variant": "overestimate",\n'
+                       '  "vacuous": true\n}\n')
+
+    @pytest.mark.parametrize("flag, value", [("--km", "1"), ("--nm", "5"), ("--sigma", "1.5"),
+                                             ("--km", "9")])
+    def test_overestimate_rejects_what_it_does_not_read(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, *self.OVERESTIMATE, "--kb-reported", "12", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:usage:{flag} goes with --variant normal or dkw, and only with it\n"
+
+    @pytest.mark.parametrize("variant", ["normal", "dkw"])
+    @pytest.mark.parametrize("missing", ["--km", "--nm"])
+    def test_normal_and_dkw_need_km_and_nm(self, capsys, variant, missing):
+        argv = list(self.BASE)
+        del argv[argv.index(missing):argv.index(missing) + 2]
+        code, out, err = run_cli(capsys, *argv, "--nb", "1000000", "--variant", variant)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:usage:--variant {variant} needs --km and --nm\n"
 
     @pytest.mark.parametrize("variant", ["normal", "dkw"])
     def test_kb_reported_without_overestimate_is_a_usage_error(self, capsys, variant):
@@ -249,11 +278,12 @@ class TestCertify:
         code, out, _ = run_cli(capsys, *self.BASE, "--sweep",
                                "nb=1000000:3000000:1000000")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "nb,lower,upper,p_byz,vacuous"
-        assert len(lines) == 4
-        lower = [float(line.split(",")[1]) for line in lines[1:]]
-        assert lower == sorted(lower)  # more samples -> tighter bound
+        assert out.splitlines() == [
+            "nb,lower,upper,p_byz,vacuous",
+            "1000000,0.8428969737763709,0.9571110351515488,0.056102035232548114,false",
+            "2000000,0.8730613428725327,0.9269426616094472,0.025938161629697056,false",
+            "3000000,0.881558617667259,0.9184440519913988,0.01744105200039867,false",
+        ]  # more samples -> tighter bound
 
     def test_nb_required_without_sweep(self, capsys):
         code, _, err = run_cli(capsys, *self.BASE)
@@ -389,7 +419,7 @@ class TestCalibrate:
                                "--alpha", "0.1", "--kb", "7", "--estimate-km")
         assert code == 2 and err.startswith("ERROR:usage:")
 
-    @pytest.mark.parametrize("kb", ["1", "11"])
+    @pytest.mark.parametrize("kb", ["-1", "0", "1", "11"])
     def test_kb_outside_two_to_k_names_the_flag(self, capsys, reports_path, kb):
         """--kb is checked in [2, K] before k_m is derived from it."""
         code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
@@ -401,7 +431,17 @@ class TestCalibrate:
         code, out, _ = run_cli(capsys, "calibrate", "--reports", reports_path,
                                "--alpha", "0.1", "--kb", "10")
         assert code == 0
-        assert json.loads(out)["benign_set"] == list(range(10))
+        payload = json.loads(out)
+        assert payload["benign_set"] == list(range(10))
+        assert payload["k_m_hat"] == 0
+
+    @pytest.mark.parametrize("flag, value", [("--score-kind", "aps"), ("--bins", "0"),
+                                             ("--seed", "5")])
+    def test_csv_only_flag_with_reports_is_a_usage_error(self, capsys, reports_path, flag, value):
+        code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                                 "--alpha", "0.1", "--kb", "3", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:usage:{flag} goes with --csv, and only with it\n"
 
     def test_csv_route(self, capsys, tmp_path):
         rng = np.random.default_rng(8)
@@ -477,21 +517,6 @@ class TestCalibrate:
         assert payload["benign_set"] == sorted(relabel(row) for row in range(7))
         assert payload["k_m_hat"] == 3
         assert payload["q_hat"] == plain["q_hat"]
-
-    @pytest.mark.parametrize("kb", ["-1", "0", "1", "11"])
-    def test_kb_outside_range(self, capsys, reports_path, kb):
-        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
-                               "--alpha", "0.1", "--kb", kb)
-        assert code == 2
-        assert err.startswith("ERROR:input:")
-
-    def test_kb_equal_to_K_keeps_everyone(self, capsys, reports_path):
-        code, out, _ = run_cli(capsys, "calibrate", "--reports", reports_path,
-                               "--alpha", "0.1", "--kb", "10")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["benign_set"] == list(range(10))
-        assert payload["k_m_hat"] == 0
 
     def test_inadmissible_alpha_surfaces_input_error(self, capsys, reports_path):
         code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,

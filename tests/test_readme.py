@@ -1,4 +1,4 @@
-"""The README's examples run, and its config table matches the config schema."""
+"""The README's examples run, and its config table and CSV columns match the code."""
 
 import re
 from dataclasses import MISSING, fields
@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from robfcp.simulation import SimulationConfig
+from robfcp.simulation import SimulationConfig, run_trial, trial_columns
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -31,3 +31,9 @@ def test_config_table_matches_simulation_config_fields():
     expected = [(f.name, f.default is MISSING and f.default_factory is MISSING)
                 for f in fields(SimulationConfig)]
     assert rows == expected
+
+
+def test_csv_column_sentence_matches_trial_columns():
+    sentence = re.search(r"The CSV is one row per\s+trial: `([^`]*)`", README)
+    trial = run_trial(SimulationConfig(K=4, k_m=1, n_per_client=50, C=3, H=10, n_test=50), 0)
+    assert sentence.group(1) == ",".join(["trial", "attack", *trial_columns(trial)])

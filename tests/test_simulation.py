@@ -36,6 +36,27 @@ from robfcp.simulation import (
 from robfcp.sketch import ClientReport, uniform_bin_edges
 
 
+_PARENT_PID = os.getpid()
+
+
+def _fail_after_trial_0(config, trial_index):
+    """``run_trial`` for trial 0; any later trial raises, naming the process it ran in.
+
+    Module-level, so a worker unpickles it by name from the module it forked with.
+    """
+    if trial_index == 0:
+        return run_trial(config, 0)
+    where = "here" if os.getpid() == _PARENT_PID else "in a worker"
+    raise InputError(f"trial {trial_index} failed {where}")
+
+
+def _report_kernel_cache(config, trial_index):
+    """``run_trial`` for trial 0; a later trial raises with its process's kernel cache size."""
+    if trial_index == 0:
+        return run_trial(config, 0)
+    raise InputError(f"kernel cache size {attacks._gaussian_kernel.cache_info().currsize}")
+
+
 def _config(**overrides):
     base = dict(K=8, k_m=0, n_per_client=300, C=5, H=50, alpha=0.1,
                 signal=2.0, n_test=400, trials=1, seed=42)
@@ -554,18 +575,27 @@ class TestMonteCarlo:
         assert [t.trial_index for t in result.trials] == [0, 1, 2, 3]
         assert multiprocessing.active_children() == []
 
-    def test_trial_error_crosses_the_worker_boundary(self):
-        """A trial's error is the same in-process and from a worker, and no worker outlives it."""
-        # Valid config, but 8 calibration rows cannot reach alpha=0.1 in any trial.
-        cfg = _config(K=4, k_m=1, n_per_client=2, C=3, H=4, alpha=0.1, trials=3)
-        raised = []
-        for workers in (1, 2):
+    def test_trial_error_crosses_the_worker_boundary(self, monkeypatch):
+        """A worker's trial error keeps its type and message, and no worker outlives it."""
+        # Trial 0 runs in this process before any fork; the fork inherits the patch.
+        monkeypatch.setattr(simulation, "run_trial", _fail_after_trial_0)
+        cfg = _config(K=4, k_m=1, n_per_client=50, n_test=100, trials=3)
+        for workers, where in ((1, "here"), (2, "in a worker")):
             with pytest.raises(InputError) as info:
                 monte_carlo(cfg, max_workers=workers)
-            raised.append((type(info.value), str(info.value)))
+            assert str(info.value) == f"trial 1 failed {where}"
             assert multiprocessing.active_children() == []
-        assert raised[0] == raised[1]
-        assert raised[0][1].startswith("alpha=0.1 below admissibility floor 0.333333")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+    def test_workers_inherit_what_trial_0_cached(self, monkeypatch):
+        """Trial 0 runs here before the fork, so a worker starts with the kernel it built."""
+        monkeypatch.setattr(simulation, "run_trial", _report_kernel_cache)
+        cfg = _config(K=6, k_m=2, n_per_client=200, n_test=100, H=20, trials=2,
+                      attack=AttackSpec("gaussian", gaussian_std=0.3))
+        attacks._gaussian_kernel.cache_clear()
+        with pytest.raises(InputError, match="^kernel cache size 1$"):
+            monte_carlo(cfg, max_workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_gaussian_kernel_is_built_before_the_fork(self):
         """Workers inherit K from the parent's cache, under the key the trials look up."""
