@@ -518,6 +518,13 @@ class TestCalibrate:
         assert payload["k_m_hat"] == 3
         assert payload["q_hat"] == plain["q_hat"]
 
+    @pytest.mark.parametrize("kb", ["1", "11"])
+    def test_kb_outside_range(self, capsys, reports_path, kb):
+        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                               "--alpha", "0.1", "--kb", kb)
+        assert code == 2
+        assert err.startswith("ERROR:input:")
+
     def test_inadmissible_alpha_surfaces_input_error(self, capsys, reports_path):
         code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
                                "--alpha", "0.001", "--kb", "7")
