@@ -30,6 +30,7 @@ pass of Sherman-Morrison updates, made of ``np.einsum`` calls without BLAS.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import median
 
 import numpy as np
 
@@ -182,7 +183,7 @@ def _looks_all_benign(scores) -> bool:
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise InputError("need at least one maliciousness score")
-    return bool(s.max() <= 2.0 * float(np.median(s)))
+    return bool(s.max() <= 2.0 * median(s.tolist()))
 
 
 def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:

@@ -11,8 +11,10 @@ vector and a candidate label to a value in [0, 1]:
 :func:`score_batch` is the one public entry: it validates (N, C) probability
 rows, draws ``u`` for ``aps``, and returns the true-label scores or, with
 ``per_label``, every candidate label's score: a row's prediction set at q is
-the labels scoring <= q.  The simulator scores its own softmax rows through
-the unvalidated ``_score_batch``.
+the labels scoring <= q.  The ``aps`` kernel scores rows sorted by descending
+probability; ``per_label`` scatters its output back to label order.  The
+simulator scores its own softmax rows unvalidated, and counts its test sets
+in rank order with :func:`_set_counts`, the same scores never scattered.
 """
 
 from __future__ import annotations
@@ -50,10 +52,8 @@ def validate_probabilities(probs: np.ndarray) -> np.ndarray:
 
 def _validate_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     y = np.asarray(labels)
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == np.floor(y)):
-            raise InputError("labels must be integers")
-        y = y.astype(int)
+    if not np.issubdtype(y.dtype, np.integer) and not np.all(y == np.floor(y)):
+        raise InputError("labels must be integers")
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise InputError(f"labels must lie in [0, {num_classes - 1}]")
     return y.astype(int)
@@ -75,32 +75,46 @@ def _aps_scores(p: np.ndarray, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     return above + py * u
 
 
-def _aps_label_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-label ``aps`` matrix: entry (i, y) is the score of candidate label y on row i.
+def _aps_ranked_scores(ranked: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``aps`` scores of rows sorted by descending probability: entry (i, j) scores rank j.
 
-    The same draw ``u[i]`` is shared by every candidate label of row i, which
-    keeps prediction sets nested in the quantile threshold.  The mass above
-    each label is an exclusive prefix sum over the row sorted by descending
-    probability: O(N·C log C) time and O(N·C) memory.  Tie rule: labels with
-    equal probability all get the mass strictly greater than theirs, the
-    prefix sum at the start of their tie group, so the order in which the sort
-    places tied labels does not change any score.  The prefix sum adds in rank
-    order, so a score may differ in the last few ulp from a sum of the same
-    masses taken in label order, as :func:`_aps_scores` takes it.
+    Row i's labels share one draw ``u[i]``, which nests the sets in the threshold.  The
+    mass above a label is an exclusive prefix sum, O(N·C); tied labels all get the sum at
+    their group's start, wherever a sort put them.  It may differ in the last few ulp from
+    the label-order sum of :func:`_aps_scores`.
     """
+    scores = np.zeros_like(ranked)
+    np.cumsum(ranked[:, :-1], axis=1, out=scores[:, 1:])
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    if tied.any():  # the sums never fall, so a running max carries each group's first sum
+        scores[:, 1:][tied] = 0.0
+        np.maximum.accumulate(scores, axis=1, out=scores)
+    scores += ranked * u[:, None]
+    return scores
+
+
+def _aps_label_scores(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-label ``aps`` matrix: :func:`_aps_ranked_scores` scattered back to label order."""
     order = np.argsort(p, axis=1)[:, ::-1]
-    ranked = np.take_along_axis(p, order, axis=1)
-    # exclusive[i, j] = mass of the first j labels of row i in rank order
-    exclusive = np.zeros_like(ranked)
-    np.cumsum(ranked[:, :-1], axis=1, out=exclusive[:, 1:])
-    # Rank of the first label of each tie group, carried forward over the group.
-    group_start = np.zeros(p.shape, dtype=np.intp)
-    group_start[:, 1:] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, p.shape[1]), 0)
-    np.maximum.accumulate(group_start, axis=1, out=group_start)
-    above = np.empty_like(p)
-    np.put_along_axis(above, order, np.take_along_axis(exclusive, group_start, axis=1), axis=1)
-    above += p * u[:, None]
-    return above
+    scores = np.empty_like(p)
+    np.put_along_axis(scores, order, _aps_ranked_scores(np.take_along_axis(p, order, axis=1), u), 1)
+    return scores
+
+
+def _row_scores(p: np.ndarray, y: np.ndarray, kind: str, rng: np.random.Generator):
+    """``_score_batch``'s true-label scores and per-label rows; ``aps`` rows stay in rank order."""
+    rows = np.arange(y.size)
+    if kind == "lac":
+        return 1.0 - p[rows, y], 1.0 - p
+    scores = _aps_ranked_scores(np.sort(p, axis=1)[:, ::-1], rng.uniform(size=y.size))
+    # The true label's score opens its tie group, after the labels more probable than it.
+    return scores[rows, np.count_nonzero(p > p[rows, y][:, None], axis=1)], scores
+
+
+def _set_counts(p: np.ndarray, y: np.ndarray, kind: str, rng: np.random.Generator, thresholds):
+    """Per threshold q, the rows whose true label scores <= q (row 0) and the labels that do (row 1)."""
+    return np.array([[np.count_nonzero(s <= q) for q in thresholds]
+                     for s in _row_scores(p, y, kind, rng)])
 
 
 def score_batch(probs: np.ndarray, labels: np.ndarray, kind: str, rng: np.random.Generator,

@@ -321,3 +321,12 @@ class TestEscapeHatch:
     def test_direct_threshold(self):
         assert _looks_all_benign(np.array([1.0, 1.1, 0.9, 2.0]))
         assert not _looks_all_benign(np.array([1.0, 1.1, 0.9, 2.3]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 59), st.integers(0, 2 ** 32 - 1), st.sampled_from((1e-3, 1.0, 1e6)))
+    def test_median_is_numpys(self, k, seed, scale):
+        """The hatch's threshold uses np.median's floats, so every decision stays as it was."""
+        s = np.random.default_rng(seed).exponential(scale, size=k)
+        assert _looks_all_benign(s) == bool(s.max() <= 2.0 * float(np.median(s)))
+        s[np.argmax(s)] = 2.0 * float(np.median(s))  # the threshold itself
+        assert _looks_all_benign(s) == bool(s.max() <= 2.0 * float(np.median(s)))

@@ -10,6 +10,8 @@ from robfcp.scores import (
     APS_BLOCK_ROWS,
     _aps_label_scores,
     _aps_scores,
+    _row_scores,
+    _set_counts,
     score_batch,
     validate_probabilities,
 )
@@ -285,3 +287,79 @@ class TestApsScoresBlocking:
         u = rng.uniform(size=n)
         np.testing.assert_array_equal(_aps_scores(p, labels, u),
                                       _unblocked_aps_scores(p, labels, u))
+
+
+class _FixedDraws:
+    """A generator stand-in whose ``uniform`` returns chosen ``u`` draws, zeros included."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+@st.composite
+def rank_order_cases(draw):
+    """Rows, labels, ``u`` and thresholds that the label-order oracle scores exactly.
+
+    Dirichlet rows are rounded to multiples of 2**-40 and tie rows are small
+    integers times 2**-13, so every mass sum is exact in any order and ``==``
+    applies.  Thresholds are drawn from the oracle's own scores, so a score
+    equal to its threshold is common.
+    """
+    n, c = draw(st.integers(1, 30)), draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(("dirichlet", "rank 0", "mid-row", "last rank", "whole row")))
+    if shape == "dirichlet":
+        alpha = draw(st.sampled_from((0.05, 1.0, 20.0)))
+        p = np.round(rng.dirichlet(np.full(c, alpha), size=n) * 2.0 ** 40) / 2.0 ** 40
+    else:
+        ranked = -np.sort(-rng.integers(1, 64, size=(n, c)), axis=1)
+        # The tie group starts at this rank, or spans the whole row.
+        at = {"rank 0": 0, "mid-row": c // 2 - 1, "last rank": c - 2}.get(shape)
+        if at is None:
+            ranked[:] = ranked[:, :1]
+        else:
+            ranked[:, at + 1] = ranked[:, at]
+        p = rng.permuted(ranked, axis=1) / 2.0 ** 13
+    u = rng.uniform(size=n)
+    u[rng.random(n) < 0.25] = 0.0
+    return p, rng.integers(0, c, size=n), u, rng.random(4)
+
+
+class TestRankOrderCounts:
+    """The simulator's rank-order scores and set counts against the label-order oracle."""
+
+    @SWEEP
+    @given(case=rank_order_cases(), kind=st.sampled_from(("aps", "lac")))
+    def test_matches_label_order_oracle(self, case, kind):
+        p, labels, u, picks = case
+        oracle = _einsum_label_scores(p, u) if kind == "aps" else 1.0 - p
+        true = oracle[np.arange(labels.size), labels]
+        thresholds = oracle.ravel()[(picks * oracle.size).astype(int)].tolist() + [0.0, 1.0]
+        got_true, scores = _row_scores(p, labels, kind, _FixedDraws(u))
+        np.testing.assert_array_equal(got_true, true)
+        np.testing.assert_array_equal(np.sort(scores, axis=1), np.sort(oracle, axis=1))
+        covered, sizes = _set_counts(p, labels, kind, _FixedDraws(u), thresholds)
+        assert covered.tolist() == [int((true <= q).sum()) for q in thresholds]
+        assert sizes.tolist() == [int((oracle <= q).sum()) for q in thresholds]
+
+    def test_lac_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        _set_counts(TIED_ROWS, np.zeros(len(TIED_ROWS), dtype=int), "lac", rng, [0.5])
+        assert rng.bit_generator.state == state
+
+
+class TestPublicLabelOrder:
+    """``score_batch(per_label=True)`` scatters the rank-order kernel back to label order."""
+
+    @pytest.mark.parametrize("probs", [TIED_ROWS, np.full((2000, 100), 0.01)],
+                             ids=["tied rows", "all equal 2000x100"])
+    def test_equals_einsum_oracle(self, probs):
+        u = np.random.default_rng(12).uniform(size=len(probs))
+        got = score_batch(probs, np.zeros(len(probs), dtype=int), "aps", np.random.default_rng(12),
+                          per_label=True)
+        np.testing.assert_array_equal(got, _einsum_label_scores(probs, u))

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from dataclasses import fields, replace
 from functools import partial
 
@@ -21,10 +22,10 @@ from robfcp.certify import CertificateParams, coverage_bounds, heterogeneity_sig
 from robfcp.count_estimator import estimate_malicious_count
 from robfcp.detection import maliciousness_scores, pairwise_distances, rank_reports
 from robfcp.errors import ConfigError, InputError
+from robfcp.scores import _score_batch, _set_counts
 from robfcp.simulation import (
     ClientProfile,
     SimulationConfig,
-    _set_metrics,
     _softmax,
     generate_client_data,
     monte_carlo,
@@ -297,12 +298,46 @@ class TestRunTrial:
 
 class TestPredictionSets:
     def test_evaluate_hand_example(self):
-        label_scores = np.array([[0.1, 0.9], [0.8, 0.2], [0.6, 0.7], [0.65, 0.3]])
-        m = _set_metrics(label_scores, np.array([0, 0, 1, 0]), q_hat=0.65)
-        # covered: row0 (0.1), row1 not (0.8), row2 not (0.7), row3 (0.65 <= 0.65) -> 2/4
-        assert m.marginal_coverage == 0.5
-        # set sizes: {0}, {1}, {0}, {0, 1} -> mean 5/4
-        assert m.average_set_size == 1.25
+        # lac label scores 1 - p: [0.125, 0.875], [0.75, 0.25], [0.5, 0.5], [0.625, 0.375]
+        p = np.array([[0.875, 0.125], [0.25, 0.75], [0.5, 0.5], [0.375, 0.625]])
+        covered, sizes = _set_counts(p, np.array([0, 0, 1, 0]), "lac", None, [0.625, 0.25])
+        # q=0.625 covers rows 0, 2 and 3 (0.625 <= 0.625), with sets {0}, {1}, {0, 1}, {0, 1};
+        # q=0.25 covers row 0 only, with sets {0}, {1}, {}, {}
+        assert covered.tolist() == [3, 1] and sizes.tolist() == [6, 2]
+
+    @staticmethod
+    def _label_order_matrix(mode):
+        """The former evaluate's (n_test, C) label-order score matrix, and its labels."""
+        config = mode.config
+        weights = np.array([config.n_per_client[i] + 1.0 for i in config.benign_ids])
+        per_client = mode.rng(simulation._ROLE_TEST, config.K).multinomial(
+            config.n_test, weights / weights.sum())
+        blocks, labels = [], []
+        for i, count in zip(config.benign_ids, per_client):
+            if count:
+                gen = mode.rng(simulation._ROLE_TEST, i)
+                probs, y = simulation._draw_rows(config.C, config.signal[i], int(count), gen)
+                blocks.append(_score_batch(probs, y, config.score_kind, gen, per_label=True))
+                labels.append(y)
+        return np.concatenate(blocks), np.concatenate(labels)
+
+    @pytest.mark.parametrize("kind", ["lac", "aps"])
+    @pytest.mark.parametrize("cfg", [dict(C=100, n_test=2000), dict(C=3, n_test=7),
+                                     dict(n_per_client=[1] * 7 + [10 ** 6], n_test=3)],
+                             ids=["C=100", "C=3", "empty blocks"])
+    def test_evaluate_equals_label_order_matrix(self, kind, cfg):
+        """Counting each block in rank order gives the means over the concatenated matrix."""
+        config = _config(score_kind=kind, **cfg)
+        mode = simulation._SampleMode(config, partial(simulation._rng, config.seed, 0),
+                                      uniform_bin_edges(config.H))
+        m, y = self._label_order_matrix(mode)
+        true = m[np.arange(y.size), y]
+        # Bin edges, as calibration gives them, and scores of the batch itself.
+        thresholds = [0.1, 0.5, 0.9, float(true[0]), float(m[-1, 0])]
+        got = mode.evaluate([types.SimpleNamespace(q_hat=q) for q in thresholds])
+        assert got == [simulation.EvalMetrics(float((true <= q).mean()),
+                                              float((m <= q).sum(axis=1).mean()))
+                       for q in thresholds]
 
 
 class TestCertificateSigma:
@@ -361,19 +396,30 @@ class TestCountRecovery:
         assert got == [K // 5] * 5
 
 
-def test_trial_runs_without_scipy():
-    """The runtime needs numpy alone: a k_m-unknown trial with scipy unimportable."""
-    code = ("import sys; sys.modules['scipy'] = None\n"
+def _fresh_unknown_count_trial(prelude: str, epilogue: str) -> str:
+    """stdout of one k_m-unknown trial in a fresh interpreter, between two code snippets."""
+    code = (f"import sys; {prelude}\n"
             "from robfcp.attacks import AttackSpec\n"
             "from robfcp.simulation import SimulationConfig, run_trial\n"
             "cfg = SimulationConfig(K=8, k_m=2, n_per_client=300, C=4, H=20, n_test=200,\n"
             "                       attack=AttackSpec('coverage'), km_known=False)\n"
-            "print(run_trial(cfg, 0).k_m_hat)\n")
+            f"print(run_trial(cfg, 0).k_m_hat); {epilogue}\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "2"
+    return done.stdout
+
+
+def test_trial_runs_without_scipy():
+    """The runtime needs numpy alone: a k_m-unknown trial with scipy unimportable."""
+    assert _fresh_unknown_count_trial("sys.modules['scipy'] = None", "").strip() == "2"
+
+
+def test_unknown_count_trial_leaves_numpy_ma_unimported():
+    """The escape hatch's median imports nothing: np.median's NaN check pulls in numpy.ma."""
+    out = _fresh_unknown_count_trial("", "print('numpy.ma' in sys.modules)")
+    assert out.split() == ["2", "False"]
 
 
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "cov", "corrcoef"}
