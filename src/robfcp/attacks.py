@@ -15,7 +15,8 @@ named by the failure they induce, need nothing beyond the reports it sees:
   mode, an approximation in ``sample`` mode.  With G(t) = t Phi(t) + phi(t),
   row [a, b] of K puts (std / (b - a)) (G((c - a) / std) - G((c - b) / std))
   at or below an interior edge c, and the mass clipped past 0 or 1 in the
-  end bins.
+  end bins.  Only the uniform grid of ``uniform_bin_edges(H)`` is accepted:
+  there K is Toeplitz, so K.v is one convolution in O(H) memory.
 * ``mimic``     — an exact copy of a uniformly chosen benign report's vector,
   indistinguishable by any report-space screen.
 """
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, _real
-from .sketch import ClientReport, validate_edges
+from .sketch import ClientReport, uniform_bin_edges, validate_edges
 
 ATTACK_KINDS = ("none", "coverage", "efficiency", "gaussian", "mimic")
 #: The kinds that forge from the attacker's own honest report, passed as ``own_report``.
@@ -57,24 +57,19 @@ def _cdf_integral(t: np.ndarray) -> np.ndarray:
     return t * cdf + np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
-@lru_cache(maxsize=8)
-def _gaussian_kernel(edges: tuple, std: float) -> np.ndarray:
-    """The ``gaussian`` forgery's K (identity at ``std = 0``), read-only and built once.
+def _gaussian_forgery(v: np.ndarray, edges: np.ndarray, std: float) -> np.ndarray:
+    """K.v in O(H) memory: on uniform edges K is Toeplitz, so K.v is one convolution.
 
-    Rows are built one at a time, in O(H) scratch memory and without BLAS.
+    Row i of K puts (std H) (G((m - i) / (H std)) - G((m - i - 1) / (H std)))
+    at or below edge m / H, the interior-edge CDF of the module docstring.
     """
-    kernel = np.eye(len(edges) - 1)
-    if std > 0.0:
-        inner = np.array(edges[1:-1])
-        upper = _cdf_integral((inner - edges[0]) / std)
-        for i in range(len(edges) - 1):
-            lower = _cdf_integral((inner - edges[i + 1]) / std)
-            cdf = np.clip(std / (edges[i + 1] - edges[i]) * (upper - lower), 0.0, 1.0)
-            # Rounding must not make the CDF step down: that would be a negative entry.
-            kernel[i] = np.diff(np.maximum.accumulate(cdf), prepend=0.0, append=1.0)
-            upper = lower
-    kernel.flags.writeable = False
-    return kernel
+    h = v.size
+    if not np.array_equal(edges, uniform_bin_edges(h)):
+        raise InputError("the gaussian attack needs the uniform grid of uniform_bin_edges(H)")
+    steps = (std * h) * np.diff(_cdf_integral(np.arange(-h, h + 1) / (h * std)))
+    cdf = np.clip(np.convolve(v, steps)[h:2 * h - 1], 0.0, 1.0)
+    # Rounding must not make the CDF step down: that would be a negative entry.
+    return np.diff(np.maximum.accumulate(cdf), prepend=0.0, append=1.0)
 
 
 def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random.Generator | None,
@@ -84,6 +79,8 @@ def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random
     ``own_report``, the report the attacker would send if honest, is read by
     :data:`OWN_REPORT_KINDS` alone, ``rng`` by :data:`DRAWING_KINDS`, and
     ``benign_reports``, the honest reports on the wire, by ``mimic``.
+    ``gaussian`` raises :class:`InputError` unless ``edges`` equal
+    ``uniform_bin_edges(H)``.
     """
     if rng is None and spec.kind in DRAWING_KINDS:
         raise InputError(f"the {spec.kind} attack draws from a generator, got rng=None")
@@ -105,5 +102,5 @@ def apply_attack(spec: AttackSpec, client_id: int, n: int, edges, rng: np.random
         raise InputError(f"the {spec.kind} attack's source report uses different bin edges")
     v = source.v
     if spec.kind == "gaussian":
-        v = (v[:, None] * _gaussian_kernel(tuple(e.tolist()), spec.gaussian_std)).sum(axis=0)
+        v = _gaussian_forgery(v, e, spec.gaussian_std)
     return ClientReport(client_id=client_id, n=n, v=v, edges=e)

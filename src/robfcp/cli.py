@@ -106,7 +106,7 @@ def cmd_simulate(args) -> None:
         _integer("--threads", args.threads, 1)
     config = parse_config(args.config)
     echo = config_echo(config)
-    csv_rows: list[tuple[str, TrialReport]] = []
+    csv_rows: list[TrialReport] = []
 
     if args.sweep:
         key, values = _parse_sweep(args.sweep, _SWEEP_ALIASES)
@@ -119,19 +119,20 @@ def cmd_simulate(args) -> None:
             swept = config_from_dict({**echo, key: value})
             result = monte_carlo(swept, max_workers=args.threads)
             rows.append({"value": value, "aggregates": result.aggregates})
-            csv_rows += [(swept.attack.kind, t) for t in result.trials]
+            csv_rows += result.trials
         report = {"config_echo": echo, "sweep": {"key": key, "rows": rows}}
     else:
         result = monte_carlo(config, max_workers=args.threads)
-        csv_rows += [(config.attack.kind, t) for t in result.trials]
+        csv_rows += result.trials
         report = {"config_echo": echo, "aggregates": result.aggregates,
                   "trials": [_trial_dict(t) for t in result.trials]}
 
     _emit(json.dumps(report, indent=2), args.out)
     if args.csv:
-        lines = [",".join(["trial", "attack", *trial_columns(csv_rows[0][1])])]
-        lines += [",".join([str(t.trial_index), kind, *map(_csv_cell, trial_columns(t).values())])
-                  for kind, t in csv_rows]
+        lines = [",".join(["trial", "attack", *trial_columns(csv_rows[0])])]
+        # A sweep value is an integer, never an attack, so every row has the config's kind.
+        lines += [",".join([str(t.trial_index), config.attack.kind,
+                            *map(_csv_cell, trial_columns(t).values())]) for t in csv_rows]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -268,10 +268,11 @@ class _SampleMode:
 
     def reference_vector(self, i: int) -> np.ndarray:
         """Monte-Carlo estimate of the bin masses of client i's score law."""
+        config = self.config
+        profile = ClientProfile(i, config.signal[i], _SIGMA_REFERENCE_N)
         rng = self.rng(_ROLE_SIGMA, i)
-        probs, labels = _draw_rows(self.config.C, self.config.signal[i], _SIGMA_REFERENCE_N, rng)
-        return histogram_characterize(_score_batch(probs, labels, self.config.score_kind, rng),
-                                      self.edges)
+        scores = generate_client_data(profile, config.C, config.score_kind, rng)
+        return histogram_characterize(scores, self.edges)
 
     def evaluate(self, quantiles) -> list[EvalMetrics]:
         """Each threshold on one test batch drawn from the benign clients, weights n_k + 1."""
@@ -397,7 +398,7 @@ def monte_carlo(config: SimulationConfig, max_workers: int | None = None) -> Mon
     a trial's clients, measured on a 2-core VM, cut a C=100 ``aps`` trial's
     median 25 % for 16 % more CPU and 12 % more peak RSS, and slowed a C=10
     ``lac`` trial 21 %.  On Linux the workers are forked after trial 0, so
-    they inherit robfcp, numpy and every cache that trial built; elsewhere
+    they inherit robfcp, numpy and every module that trial imported; elsewhere
     the platform's default start method (``spawn``) re-imports them, and a
     script must call this under ``if __name__ == "__main__":``.  A trial's
     streams depend only on its index, so the result is the same for any

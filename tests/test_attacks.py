@@ -1,12 +1,13 @@
 """Tests for forged client reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from robfcp.attacks import (ATTACK_KINDS, DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec,
-                            _gaussian_kernel, apply_attack)
+from robfcp.attacks import ATTACK_KINDS, DRAWING_KINDS, OWN_REPORT_KINDS, AttackSpec, apply_attack
 from robfcp.errors import InputError
-from robfcp.sketch import sketch_scores, uniform_bin_edges
+from robfcp.sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 
 EDGES = uniform_bin_edges(10)
@@ -44,8 +45,16 @@ class TestPointMassAttacks:
         assert r.v[:-1].sum() == 0.0
 
 
+def _forge(v, edges, std):
+    """The ``gaussian`` forgery of the vector ``v`` on ``edges``."""
+    own = ClientReport(client_id=0, n=1, v=v, edges=edges)
+    return apply_attack(AttackSpec("gaussian", gaussian_std=std), 0, 1, edges, None,
+                        own_report=own).v
+
+
 def _kernel(edges, std):
-    return _gaussian_kernel(tuple(np.asarray(edges, dtype=float).tolist()), std)
+    """K, row by row: row i is the forgery of the one-hot vector e_i."""
+    return np.array([_forge(one_hot, edges, std) for one_hot in np.eye(edges.size - 1)])
 
 
 def _clip_and_bin(edges, std, row, draws, rng):
@@ -67,8 +76,7 @@ def _assert_matches_oracle(edges, std, draws=10 ** 6, seed=0):
 
 class TestGaussianKernel:
     @pytest.mark.parametrize("edges", [uniform_bin_edges(1), uniform_bin_edges(2),
-                                       uniform_bin_edges(37),
-                                       np.array([0.0, 0.01, 0.3, 0.31, 0.9, 1.0])])
+                                       uniform_bin_edges(37), uniform_bin_edges(100)])
     @pytest.mark.parametrize("std", [1e-9, 1e-3, 0.3, 5.0, 1e3])
     def test_rows_are_laws(self, edges, std):
         kernel = _kernel(edges, std)
@@ -76,8 +84,10 @@ class TestGaussianKernel:
         assert kernel.min() >= 0.0
         np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_zero_std_is_the_identity(self):
-        np.testing.assert_array_equal(_kernel(EDGES, 0.0), np.eye(10))
+    @pytest.mark.parametrize("std", [1e-9, 0.3, 1e3])
+    def test_one_bin_sends_its_vector_unchanged(self, std):
+        edges = uniform_bin_edges(1)
+        np.testing.assert_array_equal(_forge(np.ones(1), edges, std), np.ones(1))
 
     @pytest.mark.parametrize("h", [2, 10])
     def test_clipped_mass_lands_in_the_end_bins(self, h):
@@ -89,15 +99,24 @@ class TestGaussianKernel:
     def test_two_bins_match_the_oracle(self):
         _assert_matches_oracle(uniform_bin_edges(2), 0.3, seed=1)
 
-    def test_uneven_edges_match_the_oracle(self):
-        _assert_matches_oracle(np.array([0.0, 0.05, 0.5, 0.55, 1.0]), 0.2, draws=2 * 10 ** 5,
-                               seed=2)
+    def test_uneven_edges_are_refused(self):
+        """K is Toeplitz only on the uniform grid, the one every trial builds."""
+        with pytest.raises(InputError, match=r"^the gaussian attack needs the uniform grid of "
+                                             r"uniform_bin_edges\(H\)$"):
+            _forge(np.full(4, 0.25), np.array([0.0, 0.05, 0.5, 0.55, 1.0]), 0.2)
 
-    def test_is_built_once_and_read_only(self):
-        kernel = _kernel(EDGES, 0.25)
-        assert _kernel(EDGES.copy(), 0.25) is kernel
-        with pytest.raises(ValueError):
-            kernel[0, 0] = 1.0
+    def test_forgery_memory_is_linear_in_H(self):
+        """At H=500 an H x H kernel alone would be 1.9 MiB; one forgery peaks below 0.5 MiB."""
+        edges = uniform_bin_edges(500)
+        own = sketch_scores(0, _rng(3).uniform(size=2000), edges)
+        tracemalloc.start()
+        try:
+            apply_attack(AttackSpec("gaussian", gaussian_std=0.1), 0, 2000, edges, None,
+                         own_report=own)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2 ** 20
 
 
 class TestHonestAndGaussian:
@@ -111,10 +130,11 @@ class TestHonestAndGaussian:
             apply_attack(AttackSpec("none"), 1, 300, EDGES, _rng())
 
     def test_gaussian_matches_clip_and_bin_oracle(self):
-        """Each kernel row is the clip-and-bin law of a uniform point of its bin."""
+        """The forgery of e_i is the clip-and-bin law of a uniform point of bin i."""
         _assert_matches_oracle(EDGES, 0.3)
 
     def test_gaussian_sends_the_kernel_times_its_own_vector(self):
+        """Linearity: the forgery of v is the v-weighted sum of the one-hot forgeries."""
         own = sketch_scores(2, _rng(7).uniform(size=400), EDGES)
         r = apply_attack(AttackSpec("gaussian", gaussian_std=0.3), 2, 400, EDGES, None,
                          own_report=own)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robfcp import attacks, simulation, sketch
+from robfcp import simulation, sketch
 from robfcp.attacks import ATTACK_KINDS, OWN_REPORT_KINDS, AttackSpec
 from robfcp.calibration import aggregate, federated_quantile
 from robfcp.certify import CertificateParams, coverage_bounds, heterogeneity_sigma
@@ -49,13 +49,6 @@ def _fail_after_trial_0(config, trial_index):
         return run_trial(config, 0)
     where = "here" if os.getpid() == _PARENT_PID else "in a worker"
     raise InputError(f"trial {trial_index} failed {where}")
-
-
-def _report_kernel_cache(config, trial_index):
-    """``run_trial`` for trial 0; a later trial raises with its process's kernel cache size."""
-    if trial_index == 0:
-        return run_trial(config, 0)
-    raise InputError(f"kernel cache size {attacks._gaussian_kernel.cache_info().currsize}")
 
 
 def _config(**overrides):
@@ -631,27 +624,6 @@ class TestMonteCarlo:
                 monte_carlo(cfg, max_workers=workers)
             assert str(info.value) == f"trial 1 failed {where}"
             assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
-    def test_workers_inherit_what_trial_0_cached(self, monkeypatch):
-        """Trial 0 runs here before the fork, so a worker starts with the kernel it built."""
-        monkeypatch.setattr(simulation, "run_trial", _report_kernel_cache)
-        cfg = _config(K=6, k_m=2, n_per_client=200, n_test=100, H=20, trials=2,
-                      attack=AttackSpec("gaussian", gaussian_std=0.3))
-        attacks._gaussian_kernel.cache_clear()
-        with pytest.raises(InputError, match="^kernel cache size 1$"):
-            monte_carlo(cfg, max_workers=2)
-        assert multiprocessing.active_children() == []
-
-    def test_gaussian_kernel_is_built_before_the_fork(self):
-        """Workers inherit K from the parent's cache, under the key the trials look up."""
-        cfg = _config(K=6, k_m=2, n_per_client=200, n_test=100, H=20, trials=2,
-                      attack=AttackSpec("gaussian", gaussian_std=0.3))
-        attacks._gaussian_kernel.cache_clear()
-        monte_carlo(cfg, max_workers=2)
-        assert attacks._gaussian_kernel.cache_info().currsize == 1
-        run_trial(cfg, 0)
-        assert attacks._gaussian_kernel.cache_info().misses == 1
 
     def test_aggregates_match_manual_summary(self):
         result = monte_carlo(_config(trials=3, n_test=150, n_per_client=150))
