@@ -102,7 +102,7 @@ def _assemble(params: CertificateParams, radius: float, variant: str) -> Coverag
 
     The resolution term (eps * n_b + 1) / (n_b + k_b) rises toward eps with n_b,
     so for eps * k_b > 1 the lower bound is not monotone in ``min_benign_n``
-    (alpha 0.1, beta 0.05, H=1, eps=1, k_b=100: 0.314 at n_b=50, -0.108 at 10^4).
+    (alpha 0.1, beta 0.05, H=1, eps=1, k_b=100: 0.31387 at n_b=50, -0.10760 at 10^4).
     """
     n_b, k_b = params.min_benign_n, params.num_benign
     tau = params.tau
@@ -131,16 +131,16 @@ def overestimate_bounds(params: CertificateParams, k_b_reported: int) -> Coverag
     ``params.num_benign`` is the number actually kept (all benign, equal
     sample sizes assumed); ``k_b_reported`` is the larger true benign count.
     Discarding benign mass costs a symmetric penalty that shrinks back to the
-    concentration radius as the kept fraction approaches one.
+    concentration radius as the kept fraction approaches one.  It takes the
+    radius's place in :func:`_assemble`, so a kept forgery (``num_malicious``
+    or ``total_malicious_n`` above 0) is an :class:`InputError`.
     """
     k_b_reported = _integer("k_b_reported", k_b_reported, params.num_benign + 1)
-    radius = _gaussian_radius(params)
-    penalty = 1.0 - (params.num_benign / k_b_reported) * (1.0 - radius)
-    n_b, k_b = params.min_benign_n, params.num_benign
-    eps = params.epsilon
-    lower = (1.0 - params.alpha) - (eps * n_b + 1.0) / (n_b + k_b) - penalty
-    upper = (1.0 - params.alpha) + eps + k_b / (n_b + k_b) + penalty
-    return CoverageCertificate(lower=lower, upper=upper, p_byz=penalty, variant="overestimate")
+    if params.num_malicious or params.total_malicious_n:
+        raise InputError("overestimate_bounds assumes every kept client is benign: "
+                         "need num_malicious = total_malicious_n = 0")
+    penalty = 1.0 - (params.num_benign / k_b_reported) * (1.0 - _gaussian_radius(params))
+    return _assemble(params, penalty, "overestimate")
 
 
 def estimator_precision_bound(trace_sigma: float, sigma_max_ratio: float, d: float,

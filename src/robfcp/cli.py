@@ -181,7 +181,7 @@ def cmd_certify(args) -> None:
 
 def cmd_estimate(args) -> None:
     reports = read_reports(args.reports)
-    payload = asdict(estimate_malicious_count(reports, p=args.p, max_iter=args.max_iter))
+    payload = asdict(estimate_malicious_count(reports, p=args.p))
     del payload["k_b_hat"]  # every other field, in order; the trace's pairs print as lists
     _emit(json.dumps(payload, indent=2), args.out)
 
@@ -242,7 +242,6 @@ def build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="estimate the malicious count from reports")
     p_est.add_argument("--reports", required=True)
     p_est.add_argument("--p", type=int, default=2)
-    p_est.add_argument("--max-iter", type=int, default=10, dest="max_iter")
     p_est.add_argument("--out", default=None)
 
     p_cal = sub.add_parser("calibrate", help="screen reports and compute the threshold")

@@ -41,6 +41,8 @@ from .errors import InputError, _integer
 PRIOR_RHO = 1.0
 #: Smallest prior weight c, reached when the first split's vectors are all equal.
 PRIOR_FLOOR = 1e-8
+#: Rounds of ranking and split search before the scan gives up unconverged.
+MAX_ROUNDS = 10
 
 
 def _add_row(d, w, z: int) -> float:
@@ -115,7 +117,7 @@ class CountEstimate:
     """Result of the benign-count scan.
 
     ``converged`` is True when the scan stopped because a benign count
-    repeated, False when ``max_iter`` ran out first.  ``cycled`` tells the two
+    repeated, False when :data:`MAX_ROUNDS` ran out first.  ``cycled`` tells the two
     kinds of repeat apart: False for a fixed point (the scan returned the
     count it ranked with), True for a return to an earlier, different count.
     In a cycle ranking and split point never agree, and ``k_b_hat`` is the
@@ -133,8 +135,8 @@ class CountEstimate:
     all_benign: bool = False
 
 
-def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
-    """Alternate ranking and split-point search until the benign count repeats.
+def estimate_benign_count(reports, p=2) -> CountEstimate:
+    """Alternate ranking and split search until the benign count repeats, at most MAX_ROUNDS times.
 
     The scan range is [floor(K/2) + 1, K - 1], and the first ranking assumes
     its lower end (a strict majority).  Ties in the argmax go to the smallest
@@ -145,7 +147,6 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     k = vectors.shape[0]
     if k < 4:
         raise InputError(f"count estimation requires at least 4 clients, got {k}")
-    max_iter = _integer("max_iter", max_iter, 1)
 
     floor = k // 2 + 1
     distances = pairwise_distances(vectors, p=p)
@@ -155,7 +156,7 @@ def estimate_benign_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     iterations = 0
     k_hat = k_tilde
     converged = cycled = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ROUNDS):
         iterations += 1
         scores = maliciousness_scores(distances, k_tilde)
         order = np.argsort(scores, kind="stable")
@@ -186,7 +187,7 @@ def _looks_all_benign(scores) -> bool:
     return bool(s.max() <= 2.0 * median(s.tolist()))
 
 
-def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
+def estimate_malicious_count(reports, p=2) -> CountEstimate:
     """Full pipeline: scan for the benign count, then apply the escape hatch.
 
     When the hatch fires the scan's result comes back with ``k_m_hat=0`` and
@@ -194,7 +195,7 @@ def estimate_malicious_count(reports, p=2, max_iter: int = 10) -> CountEstimate:
     """
     p = _integer("p", p, 1)
     vectors = as_vector_matrix(reports)
-    estimate = estimate_benign_count(vectors, p=p, max_iter=max_iter)
+    estimate = estimate_benign_count(vectors, p=p)
     scores = maliciousness_scores(pairwise_distances(vectors, p=p), estimate.k_b_hat)
     if _looks_all_benign(scores):
         return replace(estimate, k_m_hat=0, all_benign=True)

@@ -115,8 +115,6 @@ _PER_CLIENT_KEYS = ("n_per_client", "signal")
 
 
 def _attack_from_value(value) -> AttackSpec:
-    if isinstance(value, AttackSpec):
-        return value
     if isinstance(value, str):
         value = {"kind": value}
     if not isinstance(value, dict):

@@ -29,7 +29,7 @@ from .count_estimator import estimate_malicious_count
 from .detection import as_vector_matrix, rank_reports
 from .errors import ConfigError, InputError, _integer, _real
 from .scores import SCORE_KINDS, _score_batch, _set_counts
-from .sketch import ClientReport, histogram_characterize, sketch_scores, uniform_bin_edges
+from .sketch import ClientReport, sketch_scores, uniform_bin_edges
 
 MODES = ("sample", "histogram_direct")
 
@@ -123,7 +123,6 @@ class SimulationConfig:
 class ClientProfile:
     """One client's data-generating parameters."""
 
-    client_id: int
     signal: float
     n: int
 
@@ -248,31 +247,24 @@ class _SampleMode:
     def __init__(self, config: SimulationConfig, rng, edges: np.ndarray):
         self.config, self.rng, self.edges = config, rng, edges
 
-    def honest_report(self, i: int) -> ClientReport:
+    def honest_report(self, i: int, n: int | None = None, role: int = _ROLE_DATA) -> ClientReport:
         config = self.config
-        profile = ClientProfile(i, config.signal[i], config.n_per_client[i])
-        scores = generate_client_data(profile, config.C, config.score_kind, self.rng(_ROLE_DATA, i))
+        profile = ClientProfile(config.signal[i], config.n_per_client[i] if n is None else n)
+        scores = generate_client_data(profile, config.C, config.score_kind, self.rng(role, i))
         return sketch_scores(i, scores, self.edges)
 
     def sigma(self, benign_ids) -> float:
         """Largest l1 gap between the expected vectors of ``benign_ids``.
 
         0.0, with nothing drawn, when they share a signal; otherwise taken over
-        one reference vector per signal, keyed by the first client with it.
+        one reference sketch per signal, keyed by the first client with it.
         """
         signal = self.config.signal
         kept = sorted({signal[i] for i in benign_ids})
         if len(kept) == 1:
             return 0.0
-        return heterogeneity_sigma([self.reference_vector(signal.index(s)) for s in kept])
-
-    def reference_vector(self, i: int) -> np.ndarray:
-        """Monte-Carlo estimate of the bin masses of client i's score law."""
-        config = self.config
-        profile = ClientProfile(i, config.signal[i], _SIGMA_REFERENCE_N)
-        rng = self.rng(_ROLE_SIGMA, i)
-        scores = generate_client_data(profile, config.C, config.score_kind, rng)
-        return histogram_characterize(scores, self.edges)
+        return heterogeneity_sigma([self.honest_report(signal.index(s), _SIGMA_REFERENCE_N,
+                                                       _ROLE_SIGMA).v for s in kept])
 
     def evaluate(self, quantiles) -> list[EvalMetrics]:
         """Each threshold on one test batch drawn from the benign clients, weights n_k + 1."""

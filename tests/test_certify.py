@@ -183,13 +183,17 @@ class TestLowerBoundMonotone:
         assert high_km.lower <= low_km.lower
 
     def test_not_monotone_in_min_benign_n_when_eps_k_b_exceeds_one(self):
-        """With eps * k_b = 100 the resolution term outgrows the shrinking radius."""
+        """With eps * k_b = 100 the resolution term outgrows the shrinking radius.
+
+        The lower bound falls from 0.31387... at n_b = 50 to -0.10760... at
+        n_b = 10^4: 0.9 - z / (2 sqrt(n_b)) - (n_b + 1) / (n_b + 100).
+        """
         base = dict(alpha=0.1, beta=0.05, num_bins=1, num_benign=100, num_malicious=0,
                     total_malicious_n=0, epsilon=1.0)
         small = coverage_bounds(CertificateParams(min_benign_n=50, **base))
         large = coverage_bounds(CertificateParams(min_benign_n=10 ** 4, **base))
-        assert small.lower == pytest.approx(0.314, abs=1e-3)
-        assert large.lower == pytest.approx(-0.108, abs=1e-3)
+        assert small.lower == pytest.approx(0.3138733542828, abs=1e-12)
+        assert large.lower == pytest.approx(-0.1076018018237, abs=1e-12)
 
 
 class TestDkwBounds:
@@ -212,7 +216,38 @@ class TestDkwBounds:
             -(d.p_byz - g.p_byz), abs=1e-12)
 
 
+def _overestimate_oracle(p, k_b_reported):
+    """The former closed form of ``overestimate_bounds``: (lower, upper, penalty)."""
+    penalty = 1.0 - (p.num_benign / k_b_reported) * (1.0 - _gaussian_radius(p))
+    n_b, k_b, eps = p.min_benign_n, p.num_benign, p.epsilon
+    lower = (1.0 - p.alpha) - (eps * n_b + 1.0) / (n_b + k_b) - penalty
+    upper = (1.0 - p.alpha) + eps + k_b / (n_b + k_b) + penalty
+    return lower, upper, penalty
+
+
 class TestOverestimateBounds:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.001, 0.999), beta=st.floats(1e-6, 0.999),
+           h=st.integers(1, 200), k_b=st.integers(1, 500), extra=st.integers(1, 10 ** 4),
+           n_b=st.integers(1, 10 ** 8), eps=st.floats(0.0, 1.0))
+    def test_matches_the_former_formula(self, alpha, beta, h, k_b, extra, n_b, eps):
+        """Through ``_assemble`` the interval is the former closed form, up to rounding order."""
+        p = CertificateParams(alpha=alpha, beta=beta, num_bins=h, num_benign=k_b,
+                              num_malicious=0, min_benign_n=n_b, total_malicious_n=0,
+                              epsilon=eps)
+        cert = overestimate_bounds(p, k_b + extra)
+        lower, upper, penalty = _overestimate_oracle(p, k_b + extra)
+        assert cert.p_byz == pytest.approx(penalty, rel=0, abs=1e-12)
+        assert cert.lower == pytest.approx(lower, rel=0, abs=1e-12)
+        assert cert.upper == pytest.approx(upper, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("km, n_m", [(1, 0), (0, 5), (2, 400)])
+    def test_kept_forgery_is_an_input_error(self, km, n_m):
+        p = CertificateParams(alpha=0.1, beta=0.05, num_bins=10, num_benign=6,
+                              num_malicious=km, min_benign_n=1000, total_malicious_n=n_m)
+        with pytest.raises(InputError, match="every kept client is benign"):
+            overestimate_bounds(p, k_b_reported=8)
+
     def test_formula_reduction(self):
         """K_b=6 reported as 8: penalty = 1 - 0.75 (1 - radius) = 0.25 + 0.75 radius."""
         p = CertificateParams(alpha=0.1, beta=0.05, num_bins=10, num_benign=6,

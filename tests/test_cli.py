@@ -309,9 +309,9 @@ class TestEstimate:
         assert payload["all_benign"] is False
         assert payload["iterations"] >= 1
 
-    def test_reports_max_iter_exhaustion(self, capsys, reports_path):
-        code, out, _ = run_cli(capsys, "estimate", "--reports", reports_path,
-                               "--max-iter", "1")
+    def test_reports_max_iter_exhaustion(self, capsys, reports_path, monkeypatch):
+        monkeypatch.setattr(count_estimator, "MAX_ROUNDS", 1)
+        code, out, _ = run_cli(capsys, "estimate", "--reports", reports_path)
         assert code == 0
         payload = json.loads(out)
         assert payload["converged"] is False
@@ -598,6 +598,9 @@ ERROR_CASES = {
     "usage_stray_flag": (
         None, [*_CERTIFY, "--kb-reported", "12"],
         "ERROR:usage:--kb-reported goes with --variant overestimate, and only with it"),
+    "usage_removed_max_iter": (
+        None, ["estimate", "--reports", "in.jsonl", "--max-iter", "3"],
+        "ERROR:usage:unrecognized arguments: --max-iter 3"),
 }
 
 

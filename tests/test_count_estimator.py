@@ -240,9 +240,10 @@ class TestEstimateBenignCount:
         assert est.converged and not est.cycled
         assert est.k_b_hat == 7 and est.iterations == 2
 
-    def test_not_converged_when_max_iter_runs_out(self):
+    def test_not_converged_when_max_iter_runs_out(self, monkeypatch):
         vectors = _cluster_with_outliers(7, 3, seed=5)
-        est = estimate_benign_count(vectors, max_iter=1)
+        monkeypatch.setattr(count_estimator, "MAX_ROUNDS", 1)
+        est = estimate_benign_count(vectors)
         assert not est.converged
         assert est.k_b_hat == 7 and est.iterations == 1
 
@@ -292,7 +293,8 @@ class TestScanStopKinds:
 
     def test_max_iter_is_neither(self, monkeypatch):
         force_scan_peaks(monkeypatch, 10, [7, 8, 9])
-        est = estimate_benign_count(self.VECTORS, max_iter=3)
+        monkeypatch.setattr(count_estimator, "MAX_ROUNDS", 3)
+        est = estimate_benign_count(self.VECTORS)
         assert (est.k_b_hat, est.iterations, est.converged, est.cycled) == (9, 3, False, False)
 
 

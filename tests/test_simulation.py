@@ -129,7 +129,7 @@ def test_every_numeric_field_rejects_non_numbers(cls, name, bad):
 
 class TestDataGeneration:
     def test_scores_live_on_unit_interval(self):
-        profile = ClientProfile(0, 2.0, 500)
+        profile = ClientProfile(2.0, 500)
         for kind in ("lac", "aps"):
             scores = generate_client_data(profile, 5, kind, np.random.default_rng(1))
             assert scores.shape == (500,)
@@ -137,8 +137,8 @@ class TestDataGeneration:
 
     def test_signal_sharpens_scores(self):
         """Stronger true-class logit boost drives the true-label score down."""
-        profile_weak = ClientProfile(0, 0.0, 4000)
-        profile_strong = ClientProfile(0, 3.0, 4000)
+        profile_weak = ClientProfile(0.0, 4000)
+        profile_strong = ClientProfile(3.0, 4000)
         weak = generate_client_data(profile_weak, 5, "lac", np.random.default_rng(3))
         strong = generate_client_data(profile_strong, 5, "lac", np.random.default_rng(3))
         assert strong.mean() < weak.mean()
@@ -146,7 +146,7 @@ class TestDataGeneration:
         assert weak.mean() == pytest.approx(1.0 - 0.2, abs=0.02)
 
     def test_aps_uses_randomization(self):
-        profile = ClientProfile(0, 1.0, 300)
+        profile = ClientProfile(1.0, 300)
         lac = generate_client_data(profile, 4, "lac", np.random.default_rng(9))
         aps = generate_client_data(profile, 4, "aps", np.random.default_rng(9))
         assert not np.allclose(lac, aps)
@@ -356,24 +356,38 @@ class TestCertificateSigma:
         trial, params = self._certified(monkeypatch, _config(**self.MIMIC))
         assert trial.certificate == coverage_bounds(replace(params, sigma=0.0))
 
-    def test_shared_signal_draws_no_reference(self, monkeypatch):
-        def refuse(self, i):
-            raise AssertionError("a reference vector was drawn")
+    @staticmethod
+    def _sigma_draws(monkeypatch):
+        """Spy on the sample sketch path: (client, rows) of each draw from the sigma stream."""
+        draws, honest_report = [], simulation._SampleMode.honest_report
 
-        monkeypatch.setattr(simulation._SampleMode, "reference_vector", refuse)
+        def spy(self, i, n=None, role=simulation._ROLE_DATA):
+            if role == simulation._ROLE_SIGMA:
+                draws.append((i, n))
+            return honest_report(self, i, n, role)
+
+        monkeypatch.setattr(simulation._SampleMode, "honest_report", spy)
+        return draws
+
+    def test_shared_signal_draws_no_reference(self, monkeypatch):
+        draws = self._sigma_draws(monkeypatch)
         _, params = self._certified(monkeypatch, _config(**self.MIMIC))
-        assert params.sigma == 0.0
+        assert params.sigma == 0.0 and draws == []
 
     def test_two_signals_sigma_is_the_gap_between_their_references(self, monkeypatch):
         cfg = _config(K=8, k_m=1, attack=AttackSpec("mimic"),
                       signal=[1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0])
+        draws = self._sigma_draws(monkeypatch)
         trial, params = self._certified(monkeypatch, cfg)
         assert {cfg.signal[i] for i in trial.benign_set if i in cfg.benign_ids} == {1.0, 3.0}
-        mode = simulation._SampleMode(cfg, partial(simulation._rng, cfg.seed, 0),
-                                      uniform_bin_edges(cfg.H))
         # the first benign clients with signal 1.0 and 3.0 key the two draws
-        expected = heterogeneity_sigma([mode.reference_vector(0), mode.reference_vector(1)])
-        assert params.sigma == expected > 0.0
+        n = simulation._SIGMA_REFERENCE_N
+        assert draws == [(0, n), (1, n)]
+        references = [sketch.histogram_characterize(generate_client_data(
+            ClientProfile(cfg.signal[i], n), cfg.C, cfg.score_kind,
+            simulation._rng(cfg.seed, 0, simulation._ROLE_SIGMA, i)), uniform_bin_edges(cfg.H))
+            for i in (0, 1)]
+        assert params.sigma == heterogeneity_sigma(references) > 0.0
 
 
 class TestCountRecovery:
