@@ -78,25 +78,19 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _parse_sweep(spec: str, aliases: dict | None = None) -> tuple[str, list[int]]:
+def _parse_sweep(spec: str) -> tuple[str, list[int]]:
     """Parse ``key=a:b[:step]`` into (key, inclusive integer values)."""
-    if "=" not in spec:
-        raise CliUsageError(f"sweep must look like key=a:b[:step], got {spec!r}")
-    key, _, rng = spec.partition("=")
-    key = key.strip()
-    if aliases:
-        key = aliases.get(key, key)
+    key, eq, rng = spec.partition("=")
     parts = rng.split(":")
-    if len(parts) not in (2, 3):
-        raise CliUsageError(f"sweep range must be a:b or a:b:step, got {rng!r}")
     try:
-        a, b = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-    except ValueError:
-        raise CliUsageError(f"sweep bounds must be integers, got {rng!r}") from None
-    if step < 1 or b < a:
-        raise CliUsageError(f"sweep range must be increasing with step >= 1, got {rng!r}")
-    return key, list(range(a, b + 1, step))
+        a, b, step = int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1
+        valid = eq and len(parts) <= 3 and a <= b and step >= 1
+    except (ValueError, IndexError):
+        valid = False
+    if not valid:
+        raise CliUsageError("sweep must look like key=a:b[:step], integers a <= b and "
+                            f"step >= 1, got {spec!r}")
+    return key.strip(), list(range(a, b + 1, step))
 
 
 # --- simulate ---
@@ -109,7 +103,8 @@ def cmd_simulate(args) -> None:
     csv_rows: list[TrialReport] = []
 
     if args.sweep:
-        key, values = _parse_sweep(args.sweep, _SWEEP_ALIASES)
+        key, values = _parse_sweep(args.sweep)
+        key = _SWEEP_ALIASES.get(key, key)
         if key not in echo:
             raise CliUsageError(f"unknown sweep key {key!r}")
         rows = []
@@ -160,8 +155,6 @@ def cmd_certify(args) -> None:
                        "--variant normal or dkw")
     elif args.km is None or args.nm is None:
         raise CliUsageError(f"--variant {args.variant} needs --km and --nm")
-    if (args.nb is None) == (args.sweep is None):
-        raise CliUsageError("certify needs exactly one of --nb or --sweep nb=...")
     if args.sweep is not None:
         key, values = _parse_sweep(args.sweep)
         if key != "nb":
@@ -189,8 +182,6 @@ def cmd_estimate(args) -> None:
 # --- calibrate ---
 
 def cmd_calibrate(args) -> None:
-    if (args.reports is None) == (args.csv is None):
-        raise CliUsageError("calibrate needs exactly one of --reports or --csv")
     if args.reports is not None:
         _reject_unread({"--score-kind": args.score_kind, "--bins": args.bins,
                         "--seed": args.seed}, "--csv")
@@ -198,8 +189,6 @@ def cmd_calibrate(args) -> None:
     else:
         given = {"score_kind": args.score_kind, "num_bins": args.bins, "seed": args.seed}
         reports = reports_from_csv(args.csv, **{k: v for k, v in given.items() if v is not None})
-    if (args.kb is None) == (not args.estimate_km):
-        raise CliUsageError("calibrate needs exactly one of --kb or --estimate-km")
 
     k_m = None
     if not args.estimate_km and len(reports) >= 2:  # else robust_calibrate rejects the count
@@ -229,14 +218,15 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--H", type=int, required=True)
     p_cert.add_argument("--kb", type=int, required=True)
     p_cert.add_argument("--km", type=int, default=None)
-    p_cert.add_argument("--nb", type=int, default=None)
+    nb_or_sweep = p_cert.add_mutually_exclusive_group(required=True)
+    nb_or_sweep.add_argument("--nb", type=int, default=None)
+    nb_or_sweep.add_argument("--sweep", default=None, help="nb=a:b:step emits a CSV over nb")
     p_cert.add_argument("--nm", type=int, default=None)
     p_cert.add_argument("--sigma", type=float, default=None, help="normal and dkw (default: 0)")
     p_cert.add_argument("--epsilon", type=float, default=0.0)
     p_cert.add_argument("--variant", default="normal",
                         choices=("normal", "dkw", "overestimate"))
     p_cert.add_argument("--kb-reported", type=int, default=None, dest="kb_reported")
-    p_cert.add_argument("--sweep", default=None, help="nb=a:b:step emits a CSV over nb")
     p_cert.add_argument("--out", default=None)
 
     p_est = sub.add_parser("estimate", help="estimate the malicious count from reports")
@@ -245,15 +235,17 @@ def build_parser() -> _Parser:
     p_est.add_argument("--out", default=None)
 
     p_cal = sub.add_parser("calibrate", help="screen reports and compute the threshold")
-    p_cal.add_argument("--reports", default=None)
-    p_cal.add_argument("--csv", default=None, help="score CSV (client_id,label,p_0,...)")
+    source = p_cal.add_mutually_exclusive_group(required=True)
+    source.add_argument("--reports", default=None)
+    source.add_argument("--csv", default=None, help="score CSV (client_id,label,p_0,...)")
     p_cal.add_argument("--score-kind", choices=SCORE_KINDS, dest="score_kind",
                        help="--csv only (default: lac)")
     p_cal.add_argument("--bins", type=int, help="--csv only (default: 100)")
     p_cal.add_argument("--seed", type=int, help="--csv only: aps randomization seed (default: 0)")
     p_cal.add_argument("--alpha", type=float, required=True)
-    p_cal.add_argument("--kb", type=int, default=None)
-    p_cal.add_argument("--estimate-km", action="store_true", dest="estimate_km")
+    kb_mode = p_cal.add_mutually_exclusive_group(required=True)
+    kb_mode.add_argument("--kb", type=int, default=None)
+    kb_mode.add_argument("--estimate-km", action="store_true", dest="estimate_km")
     p_cal.add_argument("--p", type=int, default=2)
     p_cal.add_argument("--out", default=None)
 
@@ -272,6 +264,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"ERROR:io:{exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"ERROR:format:not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

@@ -79,7 +79,7 @@ def read_probability_csv(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         probs = np.array([p for _, p in pairs], dtype=float)
         try:
             probs = validate_probabilities(probs)
-        except Exception as exc:
+        except InputError as exc:
             raise FormatError(f"{path}: client {cid}: {exc}") from None
         out[cid] = (probs, labels)
     return out
@@ -110,8 +110,6 @@ _CONFIG_KEYS = tuple(f.name for f in fields(SimulationConfig))
 _REQUIRED_KEYS = tuple(f.name for f in fields(SimulationConfig)
                        if f.default is MISSING and f.default_factory is MISSING)
 _ATTACK_KEYS = frozenset(f.name for f in fields(AttackSpec))
-#: Per-client tuples that the echo writes as one scalar when every client shares it.
-_PER_CLIENT_KEYS = ("n_per_client", "signal")
 
 
 def _attack_from_value(value) -> AttackSpec:
@@ -153,11 +151,7 @@ def config_from_dict(payload: dict) -> SimulationConfig:
 def parse_config(path) -> SimulationConfig:
     """Load and validate a simulation config JSON file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(payload)
@@ -168,7 +162,7 @@ def config_echo(config: SimulationConfig) -> dict:
     echo = {}
     for name in _CONFIG_KEYS:
         value = getattr(config, name)
-        if name in _PER_CLIENT_KEYS:
+        if isinstance(value, tuple):  # a per-client field: one scalar when every client shares it
             value = value[0] if len(set(value)) == 1 else list(value)
         elif name == "attack":
             value = asdict(value)

@@ -145,11 +145,11 @@ class TestSimulate:
         assert err.startswith("ERROR:usage:")
 
     def test_missing_config_file(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "simulate", "--config",
-                                 str(tmp_path / "nope.json"))
-        assert code == 2
-        assert err.startswith("ERROR:config:")
-        assert out == ""
+        """A file that cannot be opened is ``io``, as for a report file or a score CSV."""
+        path = tmp_path / "nope.json"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"ERROR:io:[Errno 2] No such file or directory: '{path}'\n"
 
     def test_invalid_config_value(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -177,7 +177,8 @@ class TestSimulate:
                                           ("n_per_client", '"abc"'), ("signal", '"x"'),
                                           ("signal", "NaN"), ("alpha", "1e400"),
                                           ("trials", "true"), ("signal", "true"),
-                                          ("alpha", "true")])
+                                          ("alpha", "true"), ("alpha", "1" + "0" * 400),
+                                          ("score_kind", '"bogus"'), ("km_known", "1")])
     def test_malformed_number_is_a_config_error(self, capsys, tmp_path, key, raw):
         config = {"K": 6, "k_m": 1, "n_per_client": 10, "C": 3, "H": 10, key: "@"}
         path = tmp_path / "bad_number.json"
@@ -272,7 +273,12 @@ class TestCertify:
         code, out, err = run_cli(capsys, *self.BASE, "--nb", "5",
                                  "--sweep", "nb=1000000:3000000:1000000")
         assert (code, out) == (2, "")
-        assert err.startswith("ERROR:usage:")
+        assert err == "ERROR:usage:argument --sweep: not allowed with argument --nb\n"
+
+    def test_sweep_over_another_key_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, *self.BASE, "--sweep", "n=1:2")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:certify sweeps only support nb, got 'n'\n"
 
     def test_nb_sweep_csv(self, capsys):
         code, out, _ = run_cli(capsys, *self.BASE, "--sweep",
@@ -286,8 +292,9 @@ class TestCertify:
         ]  # more samples -> tighter bound
 
     def test_nb_required_without_sweep(self, capsys):
-        code, _, err = run_cli(capsys, *self.BASE)
-        assert code == 2 and err.startswith("ERROR:usage:")
+        code, out, err = run_cli(capsys, *self.BASE)
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:one of the arguments --nb --sweep is required\n"
 
     def test_invalid_parameters(self, capsys):
         code, _, err = run_cli(capsys, "certify", "--alpha", "0.1", "--beta",
@@ -353,7 +360,7 @@ class TestEstimate:
     @pytest.mark.parametrize("field, raw", [("n", "Infinity"), ("n", "NaN"), ("client_id", "1e400")])
     def test_malformed_number_is_a_format_error(self, capsys, reports_path, tmp_path,
                                                 field, raw):
-        lines = open(reports_path, encoding="utf-8").read().splitlines()
+        lines = Path(reports_path).read_text(encoding="utf-8").splitlines()
         payload = json.loads(lines[1])
         lines[1] = json.dumps({**payload, field: "@"}).replace('"@"', raw)
         path = tmp_path / "bad_number.jsonl"
@@ -403,21 +410,25 @@ class TestCalibrate:
         assert err == f"ERROR:format:{path}:1: invalid report: edges must be strictly increasing\n"
 
     def test_requires_exactly_one_source(self, capsys, reports_path, tmp_path):
-        code, _, err = run_cli(capsys, "calibrate", "--alpha", "0.1", "--kb", "7")
-        assert code == 2 and err.startswith("ERROR:usage:")
+        code, out, err = run_cli(capsys, "calibrate", "--alpha", "0.1", "--kb", "7")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:one of the arguments --reports --csv is required\n"
         csv_path = tmp_path / "x.csv"
         csv_path.write_text("client_id,label,p_0,p_1\n0,0,0.6,0.4\n")
-        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
-                               "--csv", str(csv_path), "--alpha", "0.1", "--kb", "2")
-        assert code == 2 and err.startswith("ERROR:usage:")
+        code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                                 "--csv", str(csv_path), "--alpha", "0.1", "--kb", "2")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:argument --csv: not allowed with argument --reports\n"
 
     def test_requires_exactly_one_kb_mode(self, capsys, reports_path):
-        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
-                               "--alpha", "0.1")
-        assert code == 2 and err.startswith("ERROR:usage:")
-        code, _, err = run_cli(capsys, "calibrate", "--reports", reports_path,
-                               "--alpha", "0.1", "--kb", "7", "--estimate-km")
-        assert code == 2 and err.startswith("ERROR:usage:")
+        code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                                 "--alpha", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:one of the arguments --kb --estimate-km is required\n"
+        code, out, err = run_cli(capsys, "calibrate", "--reports", reports_path,
+                                 "--alpha", "0.1", "--kb", "7", "--estimate-km")
+        assert (code, out) == (2, "")
+        assert err == "ERROR:usage:argument --estimate-km: not allowed with argument --kb\n"
 
     @pytest.mark.parametrize("kb", ["-1", "0", "1", "11"])
     def test_kb_outside_two_to_k_names_the_flag(self, capsys, reports_path, kb):
@@ -536,6 +547,33 @@ def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 2
     assert err.startswith("ERROR:usage:")
+
+
+@pytest.mark.parametrize("bounds", ["", "=3", "=1:2:3:4", "=1:x", "=3:2", "=1:3:0"],
+                         ids=["no_equals", "one_bound", "four_parts", "non_integer",
+                              "decreasing", "zero_step"])
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_malformed_sweep_is_one_usage_line(capsys, config_path, command, bounds):
+    """Every way to get ``key=a:b[:step]`` wrong is the same line, naming the grammar."""
+    argv, key = {"simulate": (["simulate", "--config", config_path], "km"),
+                 "certify": (TestCertify.BASE, "nb")}[command]
+    code, out, err = run_cli(capsys, *argv, "--sweep", key + bounds)
+    assert (code, out) == (2, "")
+    assert err == ("ERROR:usage:sweep must look like key=a:b[:step], integers a <= b and "
+                   f"step >= 1, got {key + bounds!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--config"], ["estimate", "--reports"],
+                                  ["calibrate", "--alpha", "0.5", "--kb", "2", "--reports"],
+                                  ["calibrate", "--alpha", "0.5", "--kb", "2", "--csv"]],
+                         ids=["simulate", "estimate", "calibrate_reports", "calibrate_csv"])
+def test_file_that_is_not_utf8_is_a_format_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff" + b"client_id,label,p_0,p_1\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == ("ERROR:format:not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte\n")
 
 
 _CERTIFY = ["certify", "--alpha", "0.1", "--beta", "0.05", "--H", "10", "--kb", "9", "--km", "1",

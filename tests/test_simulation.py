@@ -91,6 +91,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _config(mode="analytic")
 
+    def test_rejects_attack_that_is_not_a_spec(self):
+        """Only the Python API reaches this: a config file's attack goes through AttackSpec."""
+        with pytest.raises(ConfigError, match="attack must be an AttackSpec"):
+            _config(attack="coverage")
+
     def test_rejects_bad_alpha_and_seed(self):
         with pytest.raises(ConfigError):
             _config(alpha=1.0)
